@@ -382,10 +382,7 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 	// ---- Postprocessor ----------------------------------------------------
 	osp := root.StartChild("postprocess")
 	start = time.Now()
-	if err = postproc.StoreEncoded(ctx, db, tr, rules); err != nil {
-		return nil, err
-	}
-	if err = postproc.Decode(ctx, db, tr); err != nil {
+	if err = postproc.Run(ctx, db, tr, rules); err != nil {
 		return nil, err
 	}
 	if opts.KeepEncoded {

@@ -16,6 +16,29 @@ import (
 	"minerule/internal/sql/value"
 )
 
+// Run is the postprocessor: StoreEncoded and Decode as one transaction
+// on a private connection, so the run's output rows become visible — and
+// durable — at a single commit. On failure the connection's Close rolls
+// the rows back; the output tables Decode created are DDL and stay for
+// the caller's cleanup.
+func Run(ctx context.Context, db *engine.Database, tr *translator.Translation, rules []mining.Rule) error {
+	c := db.Conn()
+	defer c.Close()
+	if _, err := c.ExecContext(ctx, "BEGIN"); err != nil {
+		return fmt.Errorf("postproc: %w", err)
+	}
+	if err := StoreEncoded(ctx, c, tr, rules); err != nil {
+		return err
+	}
+	if err := Decode(ctx, c, tr); err != nil {
+		return err
+	}
+	if _, err := c.ExecContext(ctx, "COMMIT"); err != nil {
+		return fmt.Errorf("postproc: %w", err)
+	}
+	return nil
+}
+
 // EmptyItemsetError reports a mined rule whose body or head carries no
 // items. Such a rule must not be stored: interning the empty itemset
 // would hand out an id with zero dictionary rows, and the Decode join
@@ -34,28 +57,15 @@ func (e *EmptyItemsetError) Error() string {
 // tables (OutputRules, OutputBodies, OutputHeads) the preprocessor
 // created. Bodies and heads are dictionary-compressed: identical
 // itemsets across rules share one identifier, as §4.4's normalized form
-// intends. Rows go through the storage layer directly — the paper's core
-// operator likewise hands its result to the DBMS without re-parsing SQL.
+// intends. Rows are appended on c (Conn.AppendRows) as built rows — the
+// paper's core operator likewise hands its result to the DBMS without
+// re-parsing SQL — and so join c's transaction like any statement.
 // Rules with an empty body or head fail with *EmptyItemsetError before
 // anything is written.
-func StoreEncoded(ctx context.Context, db *engine.Database, tr *translator.Translation, rules []mining.Rule) error {
+func StoreEncoded(ctx context.Context, c *engine.Conn, tr *translator.Translation, rules []mining.Rule) error {
 	if err := resource.Check(ctx); err != nil {
 		return fmt.Errorf("postproc: %w", err)
 	}
-	n := tr.Names
-	rulesT, ok := db.Catalog().Table(n.OutputRules)
-	if !ok {
-		return fmt.Errorf("postproc: missing %s (preprocessor not run?)", n.OutputRules)
-	}
-	bodiesT, ok := db.Catalog().Table(n.OutputBodies)
-	if !ok {
-		return fmt.Errorf("postproc: missing %s", n.OutputBodies)
-	}
-	headsT, ok := db.Catalog().Table(n.OutputHeads)
-	if !ok {
-		return fmt.Errorf("postproc: missing %s", n.OutputHeads)
-	}
-
 	bodyIDs := make(map[string]int64)
 	headIDs := make(map[string]int64)
 	var ruleRows, bodyRows, headRows []schema.Row
@@ -89,13 +99,17 @@ func StoreEncoded(ctx context.Context, db *engine.Database, tr *translator.Trans
 			value.NewFloat(r.Confidence),
 		})
 	}
-	if err := rulesT.InsertAll(ruleRows); err != nil {
-		return err
+	n := tr.Names
+	if err := c.AppendRows(ctx, n.OutputRules, ruleRows); err != nil {
+		return fmt.Errorf("postproc: %w", err)
 	}
-	if err := bodiesT.InsertAll(bodyRows); err != nil {
-		return err
+	if err := c.AppendRows(ctx, n.OutputBodies, bodyRows); err != nil {
+		return fmt.Errorf("postproc: %w", err)
 	}
-	return headsT.InsertAll(headRows)
+	if err := c.AppendRows(ctx, n.OutputHeads, headRows); err != nil {
+		return fmt.Errorf("postproc: %w", err)
+	}
+	return nil
 }
 
 func itemsKey(items []mining.Item) string {
@@ -111,11 +125,11 @@ func itemsKey(items []mining.Item) string {
 	return string(b)
 }
 
-// Decode runs the translator's decode programs, producing the
+// Decode runs the translator's decode programs on c, producing the
 // user-readable output tables.
-func Decode(ctx context.Context, db *engine.Database, tr *translator.Translation) error {
+func Decode(ctx context.Context, c *engine.Conn, tr *translator.Translation) error {
 	for _, q := range tr.Program.Decode {
-		if _, err := db.ExecContext(ctx, q); err != nil {
+		if _, err := c.ExecContext(ctx, q); err != nil {
 			return fmt.Errorf("postproc: %w", err)
 		}
 	}

@@ -61,7 +61,7 @@ func TestStoreAndDecode(t *testing.T) {
 		// must reuse the BodyId.
 		{Body: []mining.Item{a}, Head: []mining.Item{a}, Support: 1, Confidence: 1},
 	}
-	if err := StoreEncoded(context.Background(), db, tr, rules); err != nil {
+	if err := StoreEncoded(context.Background(), db.Conn(), tr, rules); err != nil {
 		t.Fatal(err)
 	}
 	n, _ := db.QueryInt("SELECT COUNT(*) FROM " + tr.Names.OutputRules)
@@ -74,7 +74,7 @@ func TestStoreAndDecode(t *testing.T) {
 		t.Fatalf("distinct bodies = %d", n)
 	}
 
-	if err := Decode(context.Background(), db, tr); err != nil {
+	if err := Decode(context.Background(), db.Conn(), tr); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.Query("SELECT R.SUPPORT, B.item, H.item FROM Out R, Out_Bodies B, Out_Heads H WHERE R.BodyId = B.BodyId AND R.HeadId = H.HeadId ORDER BY 1, 2, 3")
@@ -116,17 +116,17 @@ func TestStoreWithoutPreprocFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := StoreEncoded(context.Background(), db, tr, nil); err == nil {
+	if err := StoreEncoded(context.Background(), db.Conn(), tr, nil); err == nil {
 		t.Fatal("StoreEncoded without preprocessing must fail")
 	}
 }
 
 func TestEmptyRuleSetStillDecodes(t *testing.T) {
 	db, tr := setup(t)
-	if err := StoreEncoded(context.Background(), db, tr, nil); err != nil {
+	if err := StoreEncoded(context.Background(), db.Conn(), tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Decode(context.Background(), db, tr); err != nil {
+	if err := Decode(context.Background(), db.Conn(), tr); err != nil {
 		t.Fatal(err)
 	}
 	n, err := db.QueryInt("SELECT COUNT(*) FROM Out")
@@ -162,7 +162,7 @@ func TestEmptyItemsetRejected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			good := mining.Rule{Body: []mining.Item{a}, Head: []mining.Item{a}, Support: 1, Confidence: 1}
-			err := StoreEncoded(context.Background(), db, tr, []mining.Rule{good, tc.rule})
+			err := StoreEncoded(context.Background(), db.Conn(), tr, []mining.Rule{good, tc.rule})
 			if err == nil {
 				t.Fatal("StoreEncoded accepted a rule with an empty itemset")
 			}

@@ -131,6 +131,46 @@ func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, 
 	return res, err
 }
 
+// AppendRows appends rows to the named table on this connection: inside
+// its explicit transaction when one is open, otherwise as one
+// autocommit transaction. It is the row write path for callers that
+// hold rows rather than SQL text — CSV import and the kernel's
+// postprocessor. The rows must match the table's schema positionally;
+// the table owns them afterwards. A failure buffers nothing.
+func (c *Conn) AppendRows(ctx context.Context, table string, rows []schema.Row) error {
+	db := c.db
+	c.mu.Lock()
+	if tx := c.tx; tx != nil {
+		defer c.mu.Unlock()
+		return appendRows(ctx, db, tx, table, rows)
+	}
+	c.mu.Unlock()
+	tx := db.mgr.Begin()
+	defer db.mgr.Release(tx)
+	if err := appendRows(ctx, db, tx, table, rows); err != nil {
+		tx.Rollback()
+		return err
+	}
+	if err := tx.Commit(ctx); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	return nil
+}
+
+// appendRows buffers rows into table's overlay in tx under the
+// context's effective limits, which the commit's page-I/O charge uses.
+func appendRows(ctx context.Context, db *Database, tx *txn.Txn, table string, rows []schema.Row) error {
+	tx.SetLimits(db.effLimits(ctx))
+	t, ok, err := tx.ForWrite(ctx, table)
+	if err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	if !ok {
+		return fmt.Errorf("engine: unknown table %q", table)
+	}
+	return tx.InsertRows(t, rows)
+}
+
 // beginTxn implements BEGIN: it opens an explicit transaction on the
 // connection.
 func (c *Conn) beginTxn() (*exec.Result, error) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,7 +20,7 @@ import (
 // power-of-two fractions (so SUM/AVG are order-independent and can be
 // compared bit-for-bit).
 //
-// Rows are inserted through the catalog rather than SQL because SQL
+// Rows are inserted with Conn.AppendRows rather than SQL because SQL
 // literals cannot express NaN or negative zero.
 
 // diffFloats are exact in binary floating point, so any summation
@@ -40,7 +41,7 @@ CREATE TABLE t3 (a INTEGER, e INTEGER);
 	}
 	rng := rand.New(rand.NewSource(7))
 	strs := []string{"alpha", "beta", "gamma", "delta", ""}
-	t1, _ := db.Catalog().Table("t1")
+	var t1, t2, t3 []schema.Row
 	for i := 0; i < 3000; i++ {
 		row := schema.Row{
 			value.NewInt(int64(rng.Intn(200))),
@@ -57,11 +58,8 @@ CREATE TABLE t3 (a INTEGER, e INTEGER);
 		case 3:
 			row[2] = value.Null
 		}
-		if err := t1.Insert(row); err != nil {
-			t.Fatalf("insert t1: %v", err)
-		}
+		t1 = append(t1, row)
 	}
-	t2, _ := db.Catalog().Table("t2")
 	for i := 0; i < 400; i++ {
 		row := schema.Row{
 			value.NewInt(int64(rng.Intn(200))),
@@ -70,18 +68,19 @@ CREATE TABLE t3 (a INTEGER, e INTEGER);
 		if rng.Intn(15) == 0 {
 			row[0] = value.Null
 		}
-		if err := t2.Insert(row); err != nil {
-			t.Fatalf("insert t2: %v", err)
-		}
+		t2 = append(t2, row)
 	}
-	t3, _ := db.Catalog().Table("t3")
 	for i := 0; i < 150; i++ {
 		row := schema.Row{
 			value.NewInt(int64(rng.Intn(200))),
 			value.NewInt(int64(rng.Intn(10))),
 		}
-		if err := t3.Insert(row); err != nil {
-			t.Fatalf("insert t3: %v", err)
+		t3 = append(t3, row)
+	}
+	c := db.Conn()
+	for name, rows := range map[string][]schema.Row{"t1": t1, "t2": t2, "t3": t3} {
+		if err := c.AppendRows(context.Background(), name, rows); err != nil {
+			t.Fatalf("insert %s: %v", name, err)
 		}
 	}
 	return db

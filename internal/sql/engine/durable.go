@@ -86,10 +86,10 @@ type snapshot struct {
 }
 
 // store is the durable backend of a Database: it implements
-// storage.Journal (every catalog and table mutation reaches the WAL
-// before it is applied in memory) and txn.CommitJournal (transactions
-// log their write set as one atomic frame and wait for durability
-// through the shared group-commit fsync).
+// storage.Journal (every DDL and sequence bump reaches the WAL before it
+// is applied in memory) and txn.CommitJournal (transactions log their
+// write set — the only way rows reach the WAL — as one atomic frame and
+// wait for durability through the shared group-commit fsync).
 //
 // Lock order (see DESIGN.md §16): syncMu → Catalog publish lock →
 // catalog/table/sequence locks → walMu. walMu is terminal: nothing is
@@ -354,9 +354,11 @@ func (s *store) loadSnapshot(dir string) (*snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := t.InsertAll(rows); err != nil {
-			return nil, err
-		}
+		// Published as recovery replay publishes (see applyRecord), at a
+		// stamp no lower than the log position the generation reflects.
+		stamp := s.cat.Stamps().Next(snap.LastLSN)
+		t.PublishAppend(stamp, rows, stamp)
+		s.cat.Stamps().SetVisible(stamp)
 	}
 	for _, v := range snap.Views {
 		if err := s.cat.CreateView(v.Name, v.Text); err != nil {
@@ -379,15 +381,12 @@ func (s *store) loadSnapshot(dir string) (*snapshot, error) {
 }
 
 // applyRecord redoes one WAL record against the catalog. It is only
-// called with the journal detached (recovery), so nothing re-logs.
+// called with the journal detached (recovery), so nothing re-logs. Row
+// records publish through the PublishAppend/PublishReplace calls a live
+// commit makes, at a stamp drawn at the record's LSN — so stamps stay
+// aligned with log positions — and with the low-water mark at that same
+// stamp: replay has no snapshot readers to keep history for.
 func applyRecord(cat *storage.Catalog, r *wal.Record) error {
-	table := func() (*storage.Table, error) {
-		t, ok := cat.Table(r.Name)
-		if !ok {
-			return nil, fmt.Errorf("engine: %s record for unknown table %q", r.Kind, r.Name)
-		}
-		return t, nil
-	}
 	switch r.Kind {
 	case wal.KindCreateTable:
 		_, err := cat.CreateTable(r.Name, schema.New(r.Name, r.Cols...))
@@ -408,24 +407,16 @@ func applyRecord(cat *storage.Catalog, r *wal.Record) error {
 		return err
 	case wal.KindDropIndex:
 		return cat.DropIndex(r.Name)
-	case wal.KindInsert:
-		t, err := table()
-		if err != nil {
+	case wal.KindInsert, wal.KindTruncate, wal.KindReplace, wal.KindTxn:
+		// A KindTxn frame is one committed transaction, appended (and
+		// CRC-covered) as a unit: replay publishes all of it at one stamp,
+		// as its commit did, or none of it.
+		stamp := cat.Stamps().Next(r.LSN)
+		if err := publishRows(cat, r, stamp); err != nil {
 			return err
 		}
-		return t.InsertAll(r.Rows)
-	case wal.KindTruncate:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		return t.Truncate()
-	case wal.KindReplace:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		return t.Replace(r.Rows)
+		cat.Stamps().SetVisible(stamp)
+		return nil
 	case wal.KindSeqBump:
 		sq, ok := cat.Sequence(r.Name)
 		if !ok {
@@ -433,21 +424,40 @@ func applyRecord(cat *storage.Catalog, r *wal.Record) error {
 		}
 		sq.Restore(r.Next)
 		return nil
-	case wal.KindTxn:
-		// One committed transaction: redo the write set in order. The
-		// frame was appended (and CRC-covered) as a unit, so replay sees
-		// all of the commit or none of it.
-		for _, sub := range r.Subs {
-			if err := applyRecord(cat, sub); err != nil {
-				return err
-			}
-		}
-		return nil
 	case wal.KindCheckpoint:
 		return nil // generation marker; state lives in the snapshot
 	default:
 		return fmt.Errorf("engine: unknown WAL record kind %d", r.Kind)
 	}
+}
+
+// publishRows redoes one row record, or each sub-record of a KindTxn
+// frame, at stamp. Nothing writes KindTruncate any more, but older logs
+// carry it: it is an empty replacement.
+func publishRows(cat *storage.Catalog, r *wal.Record, stamp uint64) error {
+	if r.Kind == wal.KindTxn {
+		for _, sub := range r.Subs {
+			if err := publishRows(cat, sub, stamp); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	t, ok := cat.Table(r.Name)
+	if !ok {
+		return fmt.Errorf("engine: %s record for unknown table %q", r.Kind, r.Name)
+	}
+	switch r.Kind {
+	case wal.KindInsert:
+		t.PublishAppend(stamp, r.Rows, stamp)
+	case wal.KindTruncate:
+		t.PublishReplace(stamp, nil, stamp)
+	case wal.KindReplace:
+		t.PublishReplace(stamp, r.Rows, stamp)
+	default:
+		return fmt.Errorf("engine: %s record inside a transaction frame", r.Kind)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -671,18 +681,6 @@ func (s *store) CreateIndex(name, table string, col int) error {
 
 func (s *store) DropIndex(name string) error {
 	return s.append(&wal.Record{Kind: wal.KindDropIndex, Name: name})
-}
-
-func (s *store) Insert(table string, rows []schema.Row) error {
-	return s.append(&wal.Record{Kind: wal.KindInsert, Name: table, Rows: rows})
-}
-
-func (s *store) Truncate(table string) error {
-	return s.append(&wal.Record{Kind: wal.KindTruncate, Name: table})
-}
-
-func (s *store) Replace(table string, rows []schema.Row) error {
-	return s.append(&wal.Record{Kind: wal.KindReplace, Name: table, Rows: rows})
 }
 
 func (s *store) SequenceBump(name string, next int64) error {

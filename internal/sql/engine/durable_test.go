@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"minerule/internal/resource"
@@ -219,6 +222,26 @@ func TestPageIOBudget(t *testing.T) {
 	db.SetLimits(resource.Limits{})
 	if got := countRows(t, db, "Purchase"); got != 3 {
 		t.Fatalf("vetoed insert applied anyway: %d rows", got)
+	}
+}
+
+// TestImportCSVContextLimits: a CSV import runs under the context's
+// limits, not just the engine default — a session's MaxPageIO bounds
+// the import's commit frame, and the vetoed rows never land.
+func TestImportCSVContextLimits(t *testing.T) {
+	db := openDurable(t, t.TempDir())
+	defer db.Close()
+	var csv strings.Builder
+	for i := 0; i < 500; i++ { // ~10 KiB of rows: a 3-page frame
+		fmt.Fprintf(&csv, "%d,item-%d\n", i, i)
+	}
+	ctx := resource.WithLimits(context.Background(), resource.Limits{MaxPageIO: 1})
+	_, err := db.ImportCSVContext(ctx, "T", []string{"gid:int", "item:string"}, strings.NewReader(csv.String()))
+	if !errors.Is(err, resource.ErrBudgetExceeded) {
+		t.Fatalf("import under MaxPageIO 1 = %v, want ErrBudgetExceeded", err)
+	}
+	if got := countRows(t, db, "T"); got != 0 {
+		t.Fatalf("vetoed import left %d rows", got)
 	}
 }
 

@@ -67,7 +67,7 @@ func (b *binding) compile(e parse.Expr) (evalFunc, error) {
 		return func(row schema.Row) (value.Value, error) { return row[idx], nil }, nil
 
 	case *parse.NextVal:
-		seq, ok := b.rt.tv().Sequence(x.Seq)
+		seq, ok := b.rt.Txn.Sequence(x.Seq)
 		if !ok {
 			return nil, &PosError{Err: fmt.Errorf("exec: unknown sequence %q", x.Seq), Off: x.Pos}
 		}

@@ -62,7 +62,7 @@ func (rt *Runtime) planFromOrder(s *parse.Select, elems []fromElem, conjuncts []
 	if total < planRowsMin {
 		return identity
 	}
-	ver, epoch := rt.tv().CatalogVersion(), rt.tv().StatsEpoch()
+	ver, epoch := rt.Txn.CatalogVersion(), rt.Txn.StatsEpoch()
 	if p, ok := rt.fromPlans[s]; ok && p.version == ver && p.epoch == epoch {
 		return p.order
 	}

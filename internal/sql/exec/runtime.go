@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 
@@ -13,14 +14,13 @@ import (
 	"minerule/internal/sql/value"
 )
 
-// Runtime executes parsed statements against a catalog.
+// Runtime executes parsed statements inside a transaction. The zero
+// value is ready once Txn is set.
 type Runtime struct {
-	Cat *storage.Catalog
 	// Txn is the statement's window onto the database: name resolution,
 	// row visibility, mutations, and DDL all flow through it. The engine
-	// installs the statement's transaction here; when nil, tv() lazily
-	// falls back to a direct live view of Cat (the pre-transaction
-	// behavior, kept for Runtimes built outside an engine).
+	// installs the statement's transaction here; ExecContext refuses to
+	// run without one.
 	Txn TxnView
 	// Trace, when non-nil, receives one line per executor decision
 	// (scan source, join strategy, index use, …) — the engine's
@@ -77,18 +77,6 @@ type viewPlan struct {
 	sel     *parse.Select
 }
 
-// NewRuntime returns a Runtime over the given catalog.
-func NewRuntime(cat *storage.Catalog) *Runtime { return &Runtime{Cat: cat} }
-
-// tv returns the statement's database view, defaulting to the direct
-// live view of the catalog when no transaction is installed.
-func (rt *Runtime) tv() TxnView {
-	if rt.Txn == nil {
-		rt.Txn = directView{cat: rt.Cat}
-	}
-	return rt.Txn
-}
-
 // pollEvery is how many charged operations pass between context polls;
 // checking ctx.Err on every row would dominate tight scan loops.
 const pollEvery = 1024
@@ -119,12 +107,15 @@ func (rt *Runtime) poll() error {
 	return nil
 }
 
-// ExecContext runs one parsed statement under a cancellation context and
-// the runtime's Limits, with a panic-containment boundary: a bug below
-// this point surfaces as a *resource.InternalError (or, for mistyped
-// value accessors, the *value.TypeError itself) instead of crashing the
-// process.
+// ExecContext runs one parsed statement inside rt.Txn under a
+// cancellation context and the runtime's Limits, with a
+// panic-containment boundary: a bug below this point surfaces as a
+// *resource.InternalError (or, for mistyped value accessors, the
+// *value.TypeError itself) instead of crashing the process.
 func (rt *Runtime) ExecContext(ctx context.Context, st parse.Statement) (res *Result, err error) {
+	if rt.Txn == nil {
+		return nil, errors.New("exec: runtime has no transaction")
+	}
 	prev := rt.ctx
 	rt.ctx = ctx
 	rt.rows, rt.ops = 0, 0
@@ -142,7 +133,7 @@ func (rt *Runtime) ExecContext(ctx context.Context, st parse.Statement) (res *Re
 	if cerr := resource.Check(ctx); cerr != nil {
 		return nil, cerr
 	}
-	return rt.Exec(st)
+	return rt.exec(st)
 }
 
 // tracef emits one trace line when tracing is enabled.
@@ -199,8 +190,8 @@ type Result struct {
 	RowsAffected int
 }
 
-// Exec runs one parsed statement.
-func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
+// exec runs one parsed statement.
+func (rt *Runtime) exec(st parse.Statement) (*Result, error) {
 	switch x := st.(type) {
 	case *parse.Select:
 		rel, err := rt.execSelect(x)
@@ -217,13 +208,13 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 		for i, c := range x.Cols {
 			cols[i] = schema.Column{Name: c.Name, Type: c.Type}
 		}
-		if _, err := rt.tv().CreateTable(rt.ctx, x.Name, schema.New(x.Name, cols...)); err != nil {
+		if _, err := rt.Txn.CreateTable(rt.ctx, x.Name, schema.New(x.Name, cols...)); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropTable:
-		if err := rt.tv().DropTable(rt.ctx, x.Name); err != nil {
+		if err := rt.Txn.DropTable(rt.ctx, x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -234,31 +225,31 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 		if _, err := rt.execSelect(x.Query); err != nil {
 			return nil, fmt.Errorf("exec: invalid view %s: %w", x.Name, err)
 		}
-		if err := rt.tv().CreateView(x.Name, x.Query.SQL()); err != nil {
+		if err := rt.Txn.CreateView(x.Name, x.Query.SQL()); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropView:
-		if err := rt.tv().DropView(x.Name); err != nil {
+		if err := rt.Txn.DropView(x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.CreateSequence:
-		if _, err := rt.tv().CreateSequence(x.Name); err != nil {
+		if _, err := rt.Txn.CreateSequence(x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropSequence:
-		if err := rt.tv().DropSequence(x.Name); err != nil {
+		if err := rt.Txn.DropSequence(x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.CreateIndex:
-		t, ok := rt.tv().Table(x.Table)
+		t, ok := rt.Txn.Table(x.Table)
 		if !ok {
 			return nil, fmt.Errorf("exec: unknown table %q in CREATE INDEX", x.Table)
 		}
@@ -266,13 +257,13 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := rt.tv().CreateIndex(rt.ctx, x.Name, x.Table, col); err != nil {
+		if _, err := rt.Txn.CreateIndex(rt.ctx, x.Name, x.Table, col); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropIndex:
-		if err := rt.tv().DropIndex(rt.ctx, x.Name); err != nil {
+		if err := rt.Txn.DropIndex(rt.ctx, x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -292,7 +283,7 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 // execUpdate rewrites matching rows in place (assignments see the
 // pre-update row values, per SQL).
 func (rt *Runtime) execUpdate(x *parse.Update) (*Result, error) {
-	t, ok, err := rt.tv().ForWrite(rt.ctx, x.Table)
+	t, ok, err := rt.Txn.ForWrite(rt.ctx, x.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +316,7 @@ func (rt *Runtime) execUpdate(x *parse.Update) (*Result, error) {
 		}
 		condFn = fn
 	}
-	old := rt.tv().Rows(t)
+	old := rt.Txn.Rows(t)
 	out := make([]schema.Row, 0, len(old))
 	changed := 0
 	for _, row := range old {
@@ -363,7 +354,7 @@ func (rt *Runtime) execUpdate(x *parse.Update) (*Result, error) {
 		out = append(out, next)
 		changed++
 	}
-	if err := rt.tv().ReplaceRows(t, out); err != nil {
+	if err := rt.Txn.ReplaceRows(t, out); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: changed}, nil
@@ -375,7 +366,7 @@ func (rt *Runtime) execUpdate(x *parse.Update) (*Result, error) {
 // dropping and recreating the view under the same name) always forces a
 // re-parse against the current dictionary.
 func (rt *Runtime) planView(v *storage.View) (*parse.Select, error) {
-	ver := rt.tv().CatalogVersion()
+	ver := rt.Txn.CatalogVersion()
 	if p, ok := rt.viewPlans[v.Name]; ok && p.version == ver && p.text == v.Text {
 		if m := rt.Met; m != nil {
 			m.ViewPlanHits.Inc()
@@ -425,7 +416,7 @@ func (rt *Runtime) bind(s *schema.Schema) *binding {
 // execInsert evaluates an INSERT, coercing values to the target schema
 // (int→float, string→date) and checking arity and types.
 func (rt *Runtime) execInsert(x *parse.Insert) (*Result, error) {
-	t, ok, err := rt.tv().ForWrite(rt.ctx, x.Table)
+	t, ok, err := rt.Txn.ForWrite(rt.ctx, x.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +518,7 @@ func (rt *Runtime) execInsert(x *parse.Insert) (*Result, error) {
 		}
 		out = append(out, row)
 	}
-	if err := rt.tv().InsertRows(t, out); err != nil {
+	if err := rt.Txn.InsertRows(t, out); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(out)}, nil
@@ -549,7 +540,7 @@ func coerceForColumn(v value.Value, c schema.Column) (value.Value, error) {
 
 // execDelete removes the rows matching WHERE (all rows when absent).
 func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
-	t, ok, err := rt.tv().ForWrite(rt.ctx, x.Table)
+	t, ok, err := rt.Txn.ForWrite(rt.ctx, x.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -557,8 +548,8 @@ func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
 		return nil, fmt.Errorf("exec: unknown table %q in DELETE", x.Table)
 	}
 	if x.Where == nil {
-		n := rt.tv().Len(t)
-		if err := rt.tv().ReplaceRows(t, nil); err != nil {
+		n := rt.Txn.Len(t)
+		if err := rt.Txn.ReplaceRows(t, nil); err != nil {
 			return nil, err
 		}
 		return &Result{RowsAffected: n}, nil
@@ -568,7 +559,7 @@ func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	old := rt.tv().Rows(t)
+	old := rt.Txn.Rows(t)
 	keep := make([]schema.Row, 0, len(old))
 	removed := 0
 	for _, row := range old {
@@ -589,7 +580,7 @@ func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
 		}
 		keep = append(keep, row)
 	}
-	if err := rt.tv().ReplaceRows(t, keep); err != nil {
+	if err := rt.Txn.ReplaceRows(t, keep); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: removed}, nil

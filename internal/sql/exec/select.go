@@ -437,7 +437,7 @@ func (rt *Runtime) buildFrom(s *parse.Select) (batchSource, []parse.Expr, error)
 // it; index-narrowed results and non-table sources return nil.
 func (rt *Runtime) scanFor(tr parse.TableRef, conjuncts []parse.Expr, used []bool) (*relation, *storage.Table, error) {
 	if tr.Sub == nil && len(tr.Joins) == 0 {
-		if t, ok := rt.tv().Table(tr.Name); ok {
+		if t, ok := rt.Txn.Table(tr.Name); ok {
 			qual := tr.Alias
 			if qual == "" {
 				qual = tr.Name
@@ -451,7 +451,7 @@ func (rt *Runtime) scanFor(tr parse.TableRef, conjuncts []parse.Expr, used []boo
 				if !ok {
 					continue
 				}
-				ix := rt.tv().IndexOn(t, ord)
+				ix := rt.Txn.IndexOn(t, ord)
 				if ix == nil {
 					continue
 				}
@@ -479,7 +479,7 @@ func (rt *Runtime) scanFor(tr parse.TableRef, conjuncts []parse.Expr, used []boo
 				// statistics consult entirely: the lookup is cheap either
 				// way and sketch maintenance would dominate.
 				var estRows int64 = -1
-				if !rt.rowMode && rt.tv().Len(t) >= planRowsMin {
+				if !rt.rowMode && rt.Txn.Len(t) >= planRowsMin {
 					st := rt.tableStats(t)
 					if st.Rows > 0 && st.Cols[ord].NDV <= 1 {
 						continue
@@ -493,7 +493,7 @@ func (rt *Runtime) scanFor(tr parse.TableRef, conjuncts []parse.Expr, used []boo
 				}
 				used[i] = true
 				sp, parent := rt.pushOp("index lookup")
-				rows := rt.tv().Lookup(t, ix, lit.Key())
+				rows := rt.Txn.Lookup(t, ix, lit.Key())
 				if m := rt.Met; m != nil {
 					m.RowsScanned.Add(int64(len(rows)))
 				}
@@ -742,8 +742,8 @@ func (rt *Runtime) scanBase(tr parse.TableRef) (*relation, error) {
 		rt.tracef("derived table: %d row(s)", len(sub.rows))
 		rel = sub
 	default:
-		if t, ok := rt.tv().Table(tr.Name); ok {
-			rel = &relation{schema: t.Schema(), rows: rt.tv().Rows(t)}
+		if t, ok := rt.Txn.Table(tr.Name); ok {
+			rel = &relation{schema: t.Schema(), rows: rt.Txn.Rows(t)}
 			if err := rt.poll(); err != nil {
 				return nil, err
 			}
@@ -766,7 +766,7 @@ func (rt *Runtime) scanBase(tr parse.TableRef) (*relation, error) {
 			}
 			break
 		}
-		if v, ok := rt.tv().View(tr.Name); ok {
+		if v, ok := rt.Txn.View(tr.Name); ok {
 			sp, parent := rt.pushOp("view")
 			sel, err := rt.planView(v)
 			if err != nil {

@@ -11,9 +11,7 @@ import (
 // resolution, row read, mutation, and DDL flows through it. The engine
 // installs a transaction (internal/sql/txn.Txn satisfies this
 // interface) so reads see the transaction's consistent snapshot and
-// writes buffer under its locks; a Runtime used without an engine gets
-// directView, which preserves the historical live-read, journal-first
-// direct-mutation behavior.
+// writes buffer under its locks until the transaction commits.
 //
 // Reads take the *storage.Table returned by Table/ForWrite as a
 // handle; the view decides which rows of it are visible. Writers must
@@ -48,57 +46,3 @@ type TxnView interface {
 	CreateIndex(ctx context.Context, name, table string, col int) (*storage.Index, error)
 	DropIndex(ctx context.Context, name string) error
 }
-
-// directView is the transactionless TxnView: reads hit the live
-// catalog, writes apply immediately through the storage layer's
-// journal-first methods. It keeps a bare Runtime (tests, tools built on
-// exec alone) behaving exactly as before the transaction subsystem.
-type directView struct {
-	cat *storage.Catalog
-}
-
-func (d directView) Table(name string) (*storage.Table, bool) { return d.cat.Table(name) }
-func (d directView) View(name string) (*storage.View, bool)   { return d.cat.View(name) }
-func (d directView) Sequence(name string) (*storage.Sequence, bool) {
-	return d.cat.Sequence(name)
-}
-func (d directView) Rows(t *storage.Table) []schema.Row { return t.Snapshot() }
-func (d directView) Len(t *storage.Table) int           { return t.Len() }
-func (d directView) IndexOn(t *storage.Table, col int) *storage.Index {
-	return t.IndexOn(col)
-}
-func (d directView) Lookup(t *storage.Table, ix *storage.Index, key string) []schema.Row {
-	return t.Lookup(ix, key)
-}
-func (d directView) CatalogVersion() uint64 { return d.cat.Version() }
-func (d directView) StatsEpoch() uint64     { return d.cat.StatsEpoch() }
-
-func (d directView) ForWrite(_ context.Context, name string) (*storage.Table, bool, error) {
-	t, ok := d.cat.Table(name)
-	return t, ok, nil
-}
-func (d directView) InsertRows(t *storage.Table, rows []schema.Row) error {
-	return t.InsertAll(rows)
-}
-func (d directView) ReplaceRows(t *storage.Table, rows []schema.Row) error {
-	if rows == nil {
-		// DELETE without WHERE journals a Truncate, as it always has.
-		return t.Truncate()
-	}
-	return t.Replace(rows)
-}
-
-func (d directView) CreateTable(_ context.Context, name string, s *schema.Schema) (*storage.Table, error) {
-	return d.cat.CreateTable(name, s)
-}
-func (d directView) DropTable(_ context.Context, name string) error { return d.cat.DropTable(name) }
-func (d directView) CreateView(name, text string) error             { return d.cat.CreateView(name, text) }
-func (d directView) DropView(name string) error                     { return d.cat.DropView(name) }
-func (d directView) CreateSequence(name string) (*storage.Sequence, error) {
-	return d.cat.CreateSequence(name)
-}
-func (d directView) DropSequence(name string) error { return d.cat.DropSequence(name) }
-func (d directView) CreateIndex(_ context.Context, name, table string, col int) (*storage.Index, error) {
-	return d.cat.CreateIndex(name, table, col)
-}
-func (d directView) DropIndex(_ context.Context, name string) error { return d.cat.DropIndex(name) }

@@ -113,13 +113,3 @@ func (ix *Index) add(row schema.Row, pos int) {
 	bucket := []int{pos}
 	ix.m[string(ix.scratch)] = &bucket
 }
-
-// reindex rebuilds every index (after Truncate-and-reload mutations).
-func (t *Table) reindexLocked() {
-	for _, ix := range t.indexes {
-		ix.m = make(map[string]*[]int)
-		for pos, row := range t.rows {
-			ix.add(row, pos)
-		}
-	}
-}

@@ -2,10 +2,12 @@ package storage
 
 import "minerule/internal/sql/schema"
 
-// Journal receives every catalog and table mutation before it is applied
-// in memory — the write-ahead discipline of the durable storage
-// subsystem. The engine's durable store implements it by appending WAL
-// records; an in-memory database has no journal and pays nothing.
+// Journal receives every catalog mutation (DDL) and sequence bump
+// before it is applied in memory — the write-ahead discipline of the
+// durable storage subsystem. The engine's durable store implements it by
+// appending WAL records; an in-memory database has no journal and pays
+// nothing. Row changes never pass through it: they reach the log only
+// inside a transaction's commit frame (txn.CommitJournal).
 //
 // A Journal call that returns an error vetoes the mutation: the caller
 // returns the error without touching in-memory state, so memory never
@@ -21,15 +23,6 @@ type Journal interface {
 	CreateIndex(name, table string, col int) error
 	DropIndex(name string) error
 
-	// Insert logs a batch append to a table. The journal must not retain
-	// rows after returning.
-	Insert(table string, rows []schema.Row) error
-	// Truncate logs removal of all rows of a table.
-	Truncate(table string) error
-	// Replace logs an atomic truncate-plus-insert — one record, so a
-	// crash can never observe the truncated-but-not-yet-refilled state
-	// UPDATE and DELETE rewrites would otherwise expose.
-	Replace(table string, rows []schema.Row) error
 	// SequenceBump logs a new sequence ceiling: after recovery the
 	// sequence resumes at next, skipping any unlogged values (the classic
 	// sequence-cache gap trade).
@@ -37,25 +30,16 @@ type Journal interface {
 }
 
 // SetJournal attaches (or, with nil, detaches) the journal, propagating
-// it to every existing table and sequence. The durable store calls it
-// once after recovery replay, so replayed records mutate memory without
-// being re-logged.
+// it to every existing sequence. The durable store calls it once after
+// recovery replay, so replayed records mutate memory without being
+// re-logged.
 func (c *Catalog) SetJournal(jn Journal) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.jn = jn
-	for _, t := range c.tabs {
-		t.setJournal(jn)
-	}
 	for _, s := range c.seqs {
 		s.setJournal(jn)
 	}
-}
-
-func (t *Table) setJournal(jn Journal) {
-	t.mu.Lock()
-	t.jn = jn
-	t.mu.Unlock()
 }
 
 func (s *Sequence) setJournal(jn Journal) {

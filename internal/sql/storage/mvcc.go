@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -37,10 +38,6 @@ import (
 //
 // History retention is bounded by the low-water mark — the minimum stamp
 // any registered snapshot holds — which publishers pass to prune.
-// The legacy direct-mutation API (Insert/InsertAll/Truncate/Replace on a
-// bare Table) publishes immediately and retains no history; it serves
-// recovery replay, persistence loads, and tests, which run without
-// concurrent snapshot readers.
 
 // StampClock issues commit stamps and tracks the published watermark.
 // All methods are safe for concurrent use.
@@ -79,19 +76,6 @@ func (c *StampClock) SetVisible(s uint64) {
 			return
 		}
 	}
-}
-
-// Advance raises both the allocator and the watermark to at least s.
-// The durable store calls it once after recovery with the last replayed
-// LSN, so post-recovery stamps continue above every logged position.
-func (c *StampClock) Advance(s uint64) {
-	for {
-		cur := c.alloc.Load()
-		if s <= cur || c.alloc.CompareAndSwap(cur, s) {
-			break
-		}
-	}
-	c.SetVisible(s)
 }
 
 // rowBound is one visibility boundary inside a row generation: readers
@@ -197,8 +181,10 @@ func (t *Table) LookupAt(ix *Index, key string, stamp uint64) []schema.Row {
 
 // PublishAppend makes a committed batch visible at stamp: the rows are
 // appended to the current generation with a new visibility boundary.
-// The caller (the txn layer) has already journaled the batch and holds
-// the catalog's publish lock; lwm prunes history no snapshot needs.
+// It and PublishReplace are the only ways rows change. The caller is a
+// transaction commit, which has logged the batch in its commit frame
+// and holds the catalog's publish lock, or recovery replay, which runs
+// before the catalog is shared; lwm prunes history no snapshot needs.
 func (t *Table) PublishAppend(stamp uint64, rs []schema.Row, lwm uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -243,9 +229,9 @@ func (t *Table) pruneLocked(lwm uint64) {
 	for drop < len(t.hist) && t.hist[drop].endStamp <= lwm {
 		drop++
 	}
-	if drop > 0 {
-		t.hist = append(t.hist[:0], t.hist[drop:]...)
-	}
+	// slices.Delete zeroes the vacated tail, so the backing array stops
+	// pinning the dropped generations' rows.
+	t.hist = slices.Delete(t.hist, 0, drop)
 	for i := range t.hist {
 		t.hist[i].bounds = pruneBounds(t.hist[i].bounds, lwm)
 	}
@@ -261,26 +247,6 @@ func pruneBounds(bounds []rowBound, lwm uint64) []rowBound {
 		return bounds
 	}
 	return append(bounds[:0], bounds[drop:]...)
-}
-
-// stampLocked allocates a commit stamp for a legacy direct mutation.
-// Caller holds t.mu. Detached tables (NewTable, never registered in a
-// catalog) lazily grow a private clock.
-func (t *Table) stampLocked() uint64 {
-	if t.clock == nil {
-		t.clock = &StampClock{}
-	}
-	return t.clock.Next(0)
-}
-
-// publishLegacyLocked finishes a legacy direct mutation: the whole
-// current state becomes visible at stamp and all history is discarded —
-// the legacy API serves recovery replay, persistence loads, and tests,
-// which have no concurrent snapshot readers. Caller holds t.mu.
-func (t *Table) publishLegacyLocked(stamp uint64) {
-	t.hist = nil
-	t.bounds = append(t.bounds[:0], rowBound{stamp: stamp, n: len(t.rows)})
-	t.clock.SetVisible(stamp)
 }
 
 // ---------------------------------------------------------------------------
@@ -329,9 +295,9 @@ func (c *Catalog) PruneHistory(lwm uint64) {
 	for drop < len(c.past) && c.past[drop].stamp <= lwm {
 		drop++
 	}
-	if drop > 0 {
-		c.past = append(c.past[:0], c.past[drop:]...)
-	}
+	// As in pruneLocked: the vacated tail must not keep dropped tables
+	// reachable through stale name maps.
+	c.past = slices.Delete(c.past, 0, drop)
 	c.mu.Unlock()
 }
 

@@ -36,10 +36,11 @@ type TableStats struct {
 const kmvK = 256
 
 // statsStale reports whether a statistics snapshot taken at refreshed
-// rows no longer describes a table of cur rows: any shrink (Truncate,
-// Replace, DELETE) and any growth beyond 20% + 64 rows force a refresh.
-// The slack keeps trickle inserts from rescanning the table per
-// statement while bounding how far the row estimate can drift.
+// rows no longer describes a table of cur rows: any shrink (a
+// PublishReplace from UPDATE or DELETE) and any growth beyond 20% + 64
+// rows force a refresh. The slack keeps trickle inserts from rescanning
+// the table per statement while bounding how far the row estimate can
+// drift.
 func statsStale(cur, refreshed int) bool {
 	if cur < refreshed {
 		return true
@@ -68,9 +69,7 @@ func (t *Table) Stats() (*TableStats, bool) {
 	}
 	t.stats = computeStats(t.schema.Len(), t.rows)
 	t.statsRows = len(t.rows)
-	if t.statsEpoch != nil {
-		t.statsEpoch.Add(1)
-	}
+	t.statsEpoch.Add(1)
 	return t.stats, true
 }
 

@@ -26,9 +26,7 @@ func statsTestTable(t *testing.T, rows int) (*Catalog, *Table) {
 			value.NewString(fmt.Sprintf("item-%d", i%40)),
 		})
 	}
-	if err := tab.InsertAll(batch); err != nil {
-		t.Fatal(err)
-	}
+	publish(cat, tab, false, batch, cat.Stamps().Visible())
 	return cat, tab
 }
 
@@ -77,9 +75,7 @@ func TestStatsStaleness(t *testing.T) {
 	epoch := cat.StatsEpoch()
 
 	// Small growth stays within the slack: no refresh.
-	if err := tab.Insert(schema.Row{value.NewInt(100), value.NewString("x")}); err != nil {
-		t.Fatal(err)
-	}
+	publish(cat, tab, false, []schema.Row{{value.NewInt(100), value.NewString("x")}}, cat.Stamps().Visible())
 	if st, refreshed := tab.Stats(); refreshed {
 		t.Fatalf("refresh after one insert (stats %+v)", st)
 	}
@@ -89,9 +85,7 @@ func TestStatsStaleness(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		batch = append(batch, schema.Row{value.NewInt(int64(200 + i)), value.NewString("y")})
 	}
-	if err := tab.InsertAll(batch); err != nil {
-		t.Fatal(err)
-	}
+	publish(cat, tab, false, batch, cat.Stamps().Visible())
 	st, refreshed := tab.Stats()
 	if !refreshed {
 		t.Fatal("no refresh after 3x growth")
@@ -104,11 +98,9 @@ func TestStatsStaleness(t *testing.T) {
 	}
 
 	// Shrink always invalidates.
-	if err := tab.Replace(batch[:10]); err != nil {
-		t.Fatal(err)
-	}
+	publish(cat, tab, true, batch[:10], cat.Stamps().Visible())
 	if st, refreshed = tab.Stats(); !refreshed || st.Rows != 10 {
-		t.Fatalf("refresh after Replace: refreshed=%v rows=%d", refreshed, st.Rows)
+		t.Fatalf("refresh after PublishReplace: refreshed=%v rows=%d", refreshed, st.Rows)
 	}
 }
 
@@ -119,11 +111,9 @@ func TestStatsNullsAndMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.InsertAll([]schema.Row{
+	publish(cat, tab, false, []schema.Row{
 		{value.Null}, {value.NewInt(3)}, {value.Null}, {value.NewInt(7)},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}, cat.Stamps().Visible())
 	st, _ := tab.Stats()
 	if st.Cols[0].Nulls != 2 || st.Cols[0].NDV != 2 {
 		t.Fatalf("nulls=%d ndv=%d, want 2/2", st.Cols[0].Nulls, st.Cols[0].NDV)

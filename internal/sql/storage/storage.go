@@ -14,9 +14,9 @@ import (
 	"minerule/internal/sql/schema"
 )
 
-// Table is an in-memory heap of rows with a fixed schema. Rows are
-// append-only except for Truncate; the engine's workloads (the paper's
-// Q0–Q11 programs) only ever INSERT and read.
+// Table is an in-memory heap of rows with a fixed schema. Rows change
+// only through PublishAppend and PublishReplace (mvcc.go), which a
+// transaction commit — or recovery replay — calls at a commit stamp.
 type Table struct {
 	name   string
 	schema *schema.Schema
@@ -24,29 +24,20 @@ type Table struct {
 	mu      sync.RWMutex
 	rows    []schema.Row // guarded by mu; current row generation
 	indexes []*Index     // guarded by mu; indexes over the current generation
-	jn      Journal      // guarded by mu; nil on in-memory databases
 
 	// MVCC state (see mvcc.go): bounds are the current generation's
 	// visibility boundaries, hist the superseded generations still
-	// reachable by registered snapshots, clock the owning catalog's
-	// stamp clock (a private clock grows lazily on detached tables).
-	bounds []rowBound  // guarded by mu
-	hist   []oldGen    // guarded by mu
-	clock  *StampClock // guarded by mu (the pointer; the clock is atomic)
+	// reachable by registered snapshots.
+	bounds []rowBound // guarded by mu
+	hist   []oldGen   // guarded by mu
 
 	// stats is the last statistics snapshot (nil until first computed);
 	// statsRows is the row count it was computed at, which drives the
 	// staleness test. statsEpoch points at the owning catalog's shared
-	// statistics generation counter (nil for detached tables). All three
-	// are guarded by mu.
+	// statistics generation counter. All three are guarded by mu.
 	stats      *TableStats    // guarded by mu
 	statsRows  int            // guarded by mu
 	statsEpoch *atomic.Uint64 // guarded by mu (the pointer; the counter is atomic)
-}
-
-// NewTable creates an empty table.
-func NewTable(name string, s *schema.Schema) *Table {
-	return &Table{name: name, schema: s}
 }
 
 // Name returns the table's catalog name.
@@ -55,91 +46,11 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table's schema.
 func (t *Table) Schema() *schema.Schema { return t.schema }
 
-// Insert appends a row. The row must positionally match the schema; the
-// caller (the executor) is responsible for type checking. With a journal
-// attached the append is logged first; a journal error (I/O failure,
-// page-I/O budget) vetoes the insert.
-func (t *Table) Insert(r schema.Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.jn != nil {
-		if err := t.jn.Insert(t.name, []schema.Row{r}); err != nil {
-			return err
-		}
-	}
-	stamp := t.stampLocked()
-	for _, ix := range t.indexes {
-		ix.add(r, len(t.rows))
-	}
-	t.rows = append(t.rows, r)
-	t.publishLegacyLocked(stamp)
-	return nil
-}
-
-// InsertAll appends many rows at once (one journal record for the batch).
-func (t *Table) InsertAll(rs []schema.Row) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.jn != nil {
-		if err := t.jn.Insert(t.name, rs); err != nil {
-			return err
-		}
-	}
-	stamp := t.stampLocked()
-	for i, r := range rs {
-		for _, ix := range t.indexes {
-			ix.add(r, len(t.rows)+i)
-		}
-	}
-	t.rows = append(t.rows, rs...)
-	t.publishLegacyLocked(stamp)
-	return nil
-}
-
 // Len returns the current row count.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.rows)
-}
-
-// Truncate removes all rows.
-func (t *Table) Truncate() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.jn != nil {
-		if err := t.jn.Truncate(t.name); err != nil {
-			return err
-		}
-	}
-	stamp := t.stampLocked()
-	t.rows = nil
-	t.reindexLocked()
-	t.publishLegacyLocked(stamp)
-	return nil
-}
-
-// Replace atomically substitutes the table's contents with rs, taking
-// ownership of the slice. UPDATE and DELETE rewrites use it instead of a
-// Truncate/InsertAll pair so the journal sees one record — a crash
-// between the two halves can never surface an empty table. Existing
-// snapshots stay valid: the old row array is abandoned, never mutated.
-func (t *Table) Replace(rs []schema.Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.jn != nil {
-		if err := t.jn.Replace(t.name, rs); err != nil {
-			return err
-		}
-	}
-	stamp := t.stampLocked()
-	t.rows = rs
-	t.reindexLocked()
-	t.publishLegacyLocked(stamp)
-	return nil
 }
 
 // Snapshot returns the row slice as of now. The slice must be treated as
@@ -311,9 +222,9 @@ func (c *Catalog) CreateTable(name string, s *schema.Schema) (*Table, error) {
 		}
 	}
 	stamp := c.ddlStampLocked()
-	// Built as a literal, not via NewTable: the table is unpublished
-	// until the map insert below, so its fields may be set lock-free.
-	t := &Table{name: name, schema: s, jn: c.jn, statsEpoch: c.statsEpochRef(), clock: &c.stamps}
+	// The table is unpublished until the map insert below, so its
+	// fields may be set lock-free.
+	t := &Table{name: name, schema: s, statsEpoch: c.statsEpochRef()}
 	c.tabs[k] = t
 	c.version.Add(1)
 	c.stamps.SetVisible(stamp)

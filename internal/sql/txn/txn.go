@@ -36,7 +36,7 @@ type Txn struct {
 	limits resource.Limits
 
 	writes map[string]*tableWrite // keyed by lowercase table name
-	order  []string               // write-set insertion order (deterministic log/publish order)
+	order  []string               // the keys of writes, each once, in insertion order (deterministic log/publish order)
 
 	held      map[string]bool // lock keys this txn holds
 	heldOrder []string
@@ -320,6 +320,14 @@ func (tx *Txn) DropTable(ctx context.Context, name string) error {
 	}
 	if tx.writes[k] != nil {
 		delete(tx.writes, k)
+		// A re-created table's ForWrite appends k again; leaving this
+		// entry would log and publish the new overlay twice.
+		for i, o := range tx.order {
+			if o == k {
+				tx.order = append(tx.order[:i], tx.order[i+1:]...)
+				break
+			}
+		}
 	}
 	tx.ddlDone()
 	return nil
@@ -398,13 +406,15 @@ func (tx *Txn) DropSequence(name string) error {
 // statement rolls back alone, leaving the transaction usable.
 type Savepoint struct {
 	marks map[string]tableMark
-	n     int
 }
 
 // tableMark freezes one overlay's state by slice header: later
 // operations only append to or wholesale-replace these slices, so the
-// saved headers keep addressing the prefix as it was.
+// saved headers keep addressing the prefix as it was. w identifies the
+// overlay, so a table dropped and re-created after the mark is told
+// apart from the one the mark describes.
 type tableMark struct {
+	w        *tableWrite
 	appended []schema.Row
 	rows     []schema.Row
 	replaced bool
@@ -412,37 +422,38 @@ type tableMark struct {
 
 // Savepoint captures the write-set state for RollbackTo.
 func (tx *Txn) Savepoint() Savepoint {
-	sp := Savepoint{n: len(tx.order)}
+	var sp Savepoint
 	if len(tx.writes) > 0 {
 		sp.marks = make(map[string]tableMark, len(tx.writes))
 		for k, w := range tx.writes {
-			sp.marks[k] = tableMark{appended: w.appended, rows: w.rows, replaced: w.replaced}
+			sp.marks[k] = tableMark{w: w, appended: w.appended, rows: w.rows, replaced: w.replaced}
 		}
 	}
 	return sp
 }
 
 // RollbackTo restores the write set to a savepoint taken on this
-// transaction: tables first written after the mark drop out entirely;
-// earlier overlays revert to their marked state. Locks acquired since
-// are kept until transaction end (releasing mid-txn would let another
-// writer interleave with our still-pending earlier writes). DDL is not
-// undone.
+// transaction: overlays opened after the mark — including one for a
+// table dropped and re-created since — drop out entirely; earlier
+// overlays revert to their marked state. Locks acquired since are kept
+// until transaction end (releasing mid-txn would let another writer
+// interleave with our still-pending earlier writes). DDL is not undone.
 func (tx *Txn) RollbackTo(sp Savepoint) {
-	for _, k := range tx.order[sp.n:] {
-		delete(tx.writes, k)
-	}
-	tx.order = tx.order[:sp.n]
-	for k, mark := range sp.marks {
+	kept := tx.order[:0]
+	for _, k := range tx.order {
 		w := tx.writes[k]
-		if w == nil {
+		mark, ok := sp.marks[k]
+		if !ok || mark.w != w {
+			delete(tx.writes, k)
 			continue
 		}
 		w.appended = mark.appended
 		w.rows = mark.rows
 		w.replaced = mark.replaced
 		w.view = nil
+		kept = append(kept, k)
 	}
+	tx.order = kept
 }
 
 // ---------------------------------------------------------------------------
@@ -463,9 +474,8 @@ func (tx *Txn) charge(pages int) error {
 }
 
 // buildRecords turns the write set into WAL records in write order.
-// Overlays whose table this transaction itself dropped (and possibly
-// recreated) are skipped: the drop already journaled, and a record for
-// a dead table must never reach the log.
+// Overlays whose table is no longer the live one under its name are
+// skipped: a record for a dead table must never reach the log.
 func (tx *Txn) buildRecords() []*wal.Record {
 	var recs []*wal.Record
 	for _, k := range tx.order {

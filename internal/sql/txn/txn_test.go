@@ -271,6 +271,112 @@ func TestSavepointRollback(t *testing.T) {
 	after.Rollback()
 }
 
+// createIn creates table name (one INTEGER column) inside tx.
+func createIn(t *testing.T, tx *Txn, name string) {
+	t.Helper()
+	if _, err := tx.CreateTable(context.Background(), name, schema.New(name, schema.Column{Name: "id", Type: value.TypeInt})); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// insertIn buffers rows with the given ids into name inside tx.
+func insertIn(t *testing.T, tx *Txn, name string, ids ...int64) {
+	t.Helper()
+	tab, ok, err := tx.ForWrite(context.Background(), name)
+	if err != nil || !ok {
+		t.Fatalf("ForWrite(%s): ok=%v err=%v", name, ok, err)
+	}
+	rows := make([]schema.Row, len(ids))
+	for i, id := range ids {
+		rows[i] = schema.Row{value.NewInt(id)}
+	}
+	if err := tx.InsertRows(tab, rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// committed returns the ids a fresh transaction sees in name.
+func committed(t *testing.T, m *Manager, name string) []int64 {
+	t.Helper()
+	tx := m.Begin()
+	defer m.Release(tx)
+	defer tx.Rollback()
+	tab, ok := tx.Table(name)
+	if !ok {
+		t.Fatalf("table %s not visible", name)
+	}
+	var ids []int64
+	for _, r := range tx.Rows(tab) {
+		ids = append(ids, r[0].Int())
+	}
+	return ids
+}
+
+// TestDropRecreateInsert: BEGIN; CREATE t; INSERT 1; DROP t; CREATE t;
+// INSERT 2; COMMIT leaves exactly [2]. The dropped table's overlay
+// leaves the write set with it, so the re-created table's overlay is
+// logged and published once, not twice.
+func TestDropRecreateInsert(t *testing.T) {
+	m, _ := newTestManager(0)
+	tx := m.Begin()
+	defer m.Release(tx)
+	createIn(t, tx, "t")
+	insertIn(t, tx, "t", 1)
+	if err := tx.DropTable(context.Background(), "t"); err != nil {
+		t.Fatal(err)
+	}
+	createIn(t, tx, "t")
+	insertIn(t, tx, "t", 2)
+	if err := tx.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := committed(t, m, "t"); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("t = %v, want [2]", got)
+	}
+}
+
+// TestDropBetweenSavepointAndRollback: a DROP between a savepoint and
+// RollbackTo must neither keep an overlay opened after the mark (c)
+// nor pour the dropped table's marked rows into its re-created
+// successor (t). DDL itself is not undone.
+func TestDropBetweenSavepointAndRollback(t *testing.T) {
+	m, _ := newTestManager(0)
+	for _, name := range []string{"a", "b", "c", "t"} {
+		mkTable(t, m, name)
+	}
+	tx := m.Begin()
+	defer m.Release(tx)
+	insertIn(t, tx, "a", 1)
+	insertIn(t, tx, "b", 1)
+	insertIn(t, tx, "t", 1)
+	sp := tx.Savepoint()
+	for _, name := range []string{"a", "t"} {
+		if err := tx.DropTable(context.Background(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insertIn(t, tx, "c", 3)
+	createIn(t, tx, "t")
+	insertIn(t, tx, "t", 2)
+	tx.RollbackTo(sp)
+	insertIn(t, tx, "b", 2)
+	if err := tx.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := committed(t, m, "b"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("b = %v, want [1 2]", got)
+	}
+	if got := committed(t, m, "c"); len(got) != 0 {
+		t.Fatalf("c = %v: a write after the savepoint survived RollbackTo", got)
+	}
+	if got := committed(t, m, "t"); len(got) != 0 {
+		t.Fatalf("t = %v: the re-created table inherited rows", got)
+	}
+	if _, ok := m.cat.Table("a"); ok {
+		t.Fatal("RollbackTo undid a DROP")
+	}
+}
+
 // TestTxnMetrics: Begin/Commit/Rollback drive the transaction counters
 // the /metrics endpoint derives txn_active from.
 func TestTxnMetrics(t *testing.T) {
