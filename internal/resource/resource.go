@@ -32,9 +32,11 @@ type Limits struct {
 	MaxCandidates int
 	// MaxRuntime is the wall-clock ceiling for a whole run.
 	MaxRuntime time.Duration
-	// MaxPageIO caps the durable-storage page traffic (WAL page-frames
-	// appended plus heap pages read or written) any single SQL statement
-	// may generate. It has no effect on an in-memory database.
+	// MaxPageIO caps the WAL pages one commit frame may take, checked
+	// before the frame is logged. An autocommit statement is one frame.
+	// An explicit transaction is one frame at COMMIT, and so are a CSV
+	// import and a mine's postprocessor, which writes all of the mine's
+	// output rows. It has no effect on an in-memory database.
 	MaxPageIO int
 }
 

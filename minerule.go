@@ -44,8 +44,9 @@ import (
 // Limits bounds the resources one Mine, Exec or Query call may consume:
 // MaxRows caps the rows any one SQL statement materializes, MaxCandidates
 // caps the mining candidate count, MaxRuntime deadline-bounds a Mine
-// call, and MaxPageIO caps the durable-storage page traffic (WAL frames
-// plus heap pages) per statement on systems opened with WithStorage.
+// call, and MaxPageIO caps the WAL pages of each commit frame (one per
+// autocommit statement, explicit transaction, CSV import, or mine
+// output) on systems opened with WithStorage.
 // The zero value is unbounded.
 type Limits = resource.Limits
 

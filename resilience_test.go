@@ -3,6 +3,7 @@ package minerule_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"minerule"
+	"minerule/internal/resource"
 	"minerule/internal/sql/value"
 )
 
@@ -170,6 +172,78 @@ func TestPublicLimits(t *testing.T) {
 	// After the failed budget runs the statement still works.
 	if res, err := sys.Mine(simpleMine); err != nil || res.RuleCount == 0 {
 		t.Fatalf("mine after budget failures: res=%v err=%v", res, err)
+	}
+}
+
+// TestMinePageIOPerCommitFrame pins how MaxPageIO bounds a durable mine.
+// The cap applies per commit frame, and the postprocessor writes all of
+// a mine's output rows in one frame. Here every preprocessing frame
+// takes at most 4 pages and the 1016-rule output frame about 15. Under
+// a cap of 8 the mine must fail in the postprocessor with a typed budget
+// error and leave no output behind, before or after a reopen. Under a
+// cap of 32 the mine succeeds and its rules survive a reopen.
+func TestMinePageIOPerCommitFrame(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := minerule.Open(minerule.WithStorage(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { sys.Close() }()
+	var script strings.Builder
+	script.WriteString("CREATE TABLE Basket (tr INTEGER, item VARCHAR);\nINSERT INTO Basket VALUES ")
+	for tr := 1; tr <= 12; tr++ {
+		for _, it := range "abcdefgh" {
+			if tr > 1 || it != 'a' {
+				script.WriteString(", ")
+			}
+			fmt.Fprintf(&script, "(%d, '%c')", tr, it)
+		}
+	}
+	if err := sys.ExecScript(script.String()); err != nil {
+		t.Fatal(err)
+	}
+	// Every group holds all 8 items, so every itemset is frequent with
+	// confidence 1: sum over k=2..8 of k*C(8,k) = 1016 rules.
+	const mine = `MINE RULE Wide AS
+		SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE
+		FROM Basket GROUP BY tr
+		EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.8`
+	const wantRules = 1016
+
+	_, err = sys.Mine(mine, minerule.WithLimits(minerule.Limits{MaxPageIO: 8}))
+	var be *resource.BudgetError
+	if !errors.As(err, &be) || be.Resource != "pageio" {
+		t.Fatalf("mine under MaxPageIO 8 = %v, want a pageio budget error", err)
+	}
+	if !strings.Contains(err.Error(), "postproc") {
+		t.Fatalf("mine under MaxPageIO 8 failed outside the postprocessor: %v", err)
+	}
+	reopen := func() {
+		t.Helper()
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if sys, err = minerule.Open(minerule.WithStorage(dir)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := sys.Query("SELECT * FROM Wide"); err == nil {
+			t.Fatalf("pass %d: output table exists after the vetoed mine", pass)
+		}
+		reopen()
+	}
+
+	res, err := sys.Mine(mine, minerule.WithLimits(minerule.Limits{MaxPageIO: 32}))
+	if err != nil {
+		t.Fatalf("mine under MaxPageIO 32: %v", err)
+	}
+	if res.RuleCount != wantRules {
+		t.Fatalf("RuleCount = %d, want %d", res.RuleCount, wantRules)
+	}
+	reopen()
+	if n, err := sys.QueryInt("SELECT COUNT(*) FROM Wide"); err != nil || n != wantRules {
+		t.Fatalf("recovered rules = %d, err %v; want %d", n, err, wantRules)
 	}
 }
 
