@@ -214,6 +214,24 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
+// TestPrepareInvalidView proves a view body is validated at Prepare: the
+// server's semantic check rejects it as INVALID, and no view appears.
+func TestPrepareInvalidView(t *testing.T) {
+	addr, _ := startServer(t, minerule.ServerConfig{})
+	db := openDB(t, "tcp://"+addr)
+	if _, err := db.Exec("CREATE TABLE t (a INTEGER, b VARCHAR)"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := db.Prepare("CREATE VIEW v AS SELECT zz FROM t")
+	var de *mrdriver.Error
+	if !errors.As(err, &de) || de.Code != wire.CodeInvalid || !strings.Contains(de.Msg, "semck") {
+		t.Fatalf("Prepare = %v, want an INVALID semck error", err)
+	}
+	if _, err := db.Query("SELECT * FROM v"); err == nil {
+		t.Fatal("rejected view v exists")
+	}
+}
+
 func TestAuthTokenDSN(t *testing.T) {
 	addr, _ := startServer(t, minerule.ServerConfig{AuthToken: "sesame"})
 

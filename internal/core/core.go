@@ -130,8 +130,9 @@ type Explanation struct {
 	// Simple reports which core-processing class would run.
 	Simple bool
 	// Steps are the preprocessing statements in execution order, with
-	// their paper names (Q0…Q10 plus the output setup); TotalGroups is
-	// the Q1 query.
+	// their paper names (Q0…Q10 plus the output setup); Q1 is the
+	// total-group query, with a trailing comment when it is folded into
+	// Q2 and not run.
 	Steps []ExplainStep
 	Q1    string
 	// Decode are the postprocessor's queries.
@@ -159,7 +160,7 @@ func Explain(db *engine.Database, statement string) (*Explanation, error) {
 		Statement: st,
 		Class:     tr.Class,
 		Simple:    tr.Class.Simple(),
-		Q1:        tr.Program.Q1,
+		Q1:        tr.TotalGroupsQuery(),
 		Decode:    append([]string(nil), tr.Program.Decode...),
 	}
 	for _, s := range tr.Program.Steps() {
@@ -410,9 +411,12 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 // a cancellation.
 func cleanupFailed(db *engine.Database, tr *translator.Translation) {
 	preproc.Drop(db, tr)
-	for _, t := range []string{tr.Names.Output, tr.Names.OutputBodyT, tr.Names.OutputHeadT, tr.Names.Meta} {
-		_, _ = db.Exec("DROP TABLE " + t)
-	}
+	n := tr.Names
+	preproc.DropExisting(db,
+		translator.Object{Kind: "TABLE", Name: n.Output},
+		translator.Object{Kind: "TABLE", Name: n.OutputBodyT},
+		translator.Object{Kind: "TABLE", Name: n.OutputHeadT},
+		translator.Object{Kind: "TABLE", Name: n.Meta})
 }
 
 func poolMiner(a Algorithm) mining.ItemsetMiner {

@@ -115,6 +115,17 @@ func TestExplain(t *testing.T) {
 	if len(ex.Decode) == 0 || ex.Q1 == "" {
 		t.Error("decode programs or Q1 missing")
 	}
+	// Without a group condition Q1 is folded into Q2, and says so.
+	if !strings.Contains(ex.Q1, "folded into Q2") || !strings.Contains(ex.Q1, "_validgroups") {
+		t.Errorf("Q1 does not show the fold: %s", ex.Q1)
+	}
+	grouped, err := Explain(db, "MINE RULE GX AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD FROM Purchase GROUP BY cust HAVING COUNT(*) > 1 EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(grouped.Q1, "folded") {
+		t.Errorf("Q1 under a group condition claims a fold: %s", grouped.Q1)
+	}
 	// Explain must not create anything.
 	if db.Catalog().Exists("mr_filteredorderedsets_source") {
 		t.Error("Explain materialized working objects")

@@ -378,10 +378,14 @@ func TestTimingsPopulated(t *testing.T) {
 	for _, s := range res.PreprocSteps {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"Q0", "Q1", "Q2", "Q3", "Q6", "Q7", "Q4", "Q8", "Q9", "Q10"} {
+	for _, want := range []string{"Q0", "Q2", "Q3", "Q6", "Q7", "Q4", "Q8", "Q9", "Q10"} {
 		if !names[want] {
 			t.Errorf("step %s missing from trace (have %v)", want, res.PreprocSteps)
 		}
+	}
+	// Q1 runs only under a group condition; otherwise it folds into Q2.
+	if names["Q1"] != res.Class.G {
+		t.Errorf("step Q1 present = %v, want %v (have %v)", names["Q1"], res.Class.G, res.PreprocSteps)
 	}
 	if names["Q5"] {
 		t.Error("Q5 must be absent when H is false")

@@ -26,8 +26,13 @@ func TestTraceSpansCoverAllPhases(t *testing.T) {
 	if pre.Int("totg") != int64(res.TotalGroups) {
 		t.Errorf("preprocess totg = %d, want %d", pre.Int("totg"), res.TotalGroups)
 	}
-	if pre.Child("Q1") == nil {
-		t.Error("preprocess span has no Q1 child step")
+	// Q1 is a child step only under a group condition; otherwise it
+	// folds into Q2.
+	if (pre.Child("Q1") != nil) != res.Class.G {
+		t.Errorf("preprocess span has Q1 child = %v, want %v", pre.Child("Q1") != nil, res.Class.G)
+	}
+	if pre.Child("Q2") == nil {
+		t.Error("preprocess span has no Q2 child step")
 	}
 	cs := res.Trace.Child("core")
 	if cs.Int("rules") != int64(res.RuleCount) {

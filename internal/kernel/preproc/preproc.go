@@ -20,7 +20,8 @@ import (
 
 // Result reports what the preprocessing computed.
 type Result struct {
-	// Totg is the paper's :totg — the total number of groups (Q1).
+	// Totg is the paper's :totg — the total number of groups (Q1, or
+	// Q2's row count when Q1 is folded).
 	Totg int
 	// MinGroups is the substituted :mingroups value (⌈support·totg⌉).
 	MinGroups int
@@ -41,24 +42,21 @@ type StepDuration struct {
 // Run executes the full preprocessing for the translation, checking the
 // context between Q-steps so a cancellation lands at the next step
 // boundary (and, via the executor's own polling, inside long steps).
-// Cleanup errors (objects that do not exist yet) are ignored; everything
-// else is fatal.
 func Run(ctx context.Context, db *engine.Database, tr *translator.Translation) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	p := &tr.Program
-	for _, drop := range p.Cleanup {
-		_, _ = db.Exec(drop) // first run: nothing to drop
-	}
+	DropExisting(db, p.Cleanup...)
 
 	res := &Result{}
-	step := func(name string, sqls []string) error {
+	// step runs one Q-step and returns the rows its statements wrote.
+	step := func(name string, sqls []string) (int, error) {
 		if len(sqls) == 0 {
-			return nil
+			return 0, nil
 		}
 		if err := resource.Check(ctx); err != nil {
-			return fmt.Errorf("preproc: step %s: %w", name, err)
+			return 0, fmt.Errorf("preproc: step %s: %w", name, err)
 		}
 		start := time.Now()
 		rows := 0
@@ -66,38 +64,51 @@ func Run(ctx context.Context, db *engine.Database, tr *translator.Translation) (
 			q = strings.ReplaceAll(q, translator.MinGroupsPlaceholder, strconv.Itoa(res.MinGroups))
 			r, err := db.ExecContext(ctx, q)
 			if err != nil {
-				return fmt.Errorf("preproc: step %s: %w", name, err)
+				return 0, fmt.Errorf("preproc: step %s: %w", name, err)
 			}
 			rows += r.RowsAffected
 		}
 		res.StepDurations = append(res.StepDurations, StepDuration{
 			Name: name, Duration: time.Since(start), Stmts: len(sqls), Rows: rows,
 		})
-		return nil
+		return rows, nil
+	}
+	setTotg := func(totg int) {
+		res.Totg = totg
+		res.MinGroups = mining.MinCount(tr.Stmt.MinSupport, totg)
 	}
 
-	if err := step("Q0", p.Q0); err != nil {
+	if _, err := step("Q0", p.Q0); err != nil {
 		return nil, err
 	}
-
-	// Q1: the paper's SELECT COUNT(*) INTO :totg.
-	if err := resource.Check(ctx); err != nil {
-		return nil, fmt.Errorf("preproc: step Q1: %w", err)
+	if !tr.Q1Folded() {
+		// Q1: the paper's SELECT COUNT(*) INTO :totg.
+		if err := resource.Check(ctx); err != nil {
+			return nil, fmt.Errorf("preproc: step Q1: %w", err)
+		}
+		start := time.Now()
+		totg, err := db.QueryIntContext(ctx, p.Q1)
+		if err != nil {
+			return nil, fmt.Errorf("preproc: step Q1: %w", err)
+		}
+		setTotg(int(totg))
+		res.StepDurations = append(res.StepDurations, StepDuration{Name: "Q1", Duration: time.Since(start), Stmts: 1})
 	}
-	start := time.Now()
-	totg, err := db.QueryIntContext(ctx, p.Q1)
+	validGroups, err := step("Q2", p.Q2)
 	if err != nil {
-		return nil, fmt.Errorf("preproc: step Q1: %w", err)
+		return nil, err
 	}
-	res.Totg = int(totg)
-	res.MinGroups = mining.MinCount(tr.Stmt.MinSupport, res.Totg)
-	res.StepDurations = append(res.StepDurations, StepDuration{Name: "Q1", Duration: time.Since(start), Stmts: 1})
+	if tr.Q1Folded() {
+		// Q2's only row-writing statement is its INSERT INTO
+		// ValidGroups, which here keeps every group: its row count is
+		// :totg.
+		setTotg(validGroups)
+	}
 
 	for _, s := range []struct {
 		name string
 		sqls []string
 	}{
-		{"Q2", p.Q2},
 		{"Q3", p.Q3},
 		{"Q5", p.Q5},
 		{"Q6", p.Q6},
@@ -108,11 +119,33 @@ func Run(ctx context.Context, db *engine.Database, tr *translator.Translation) (
 		{"Q10", p.Q10},
 		{"output", p.OutputSetup},
 	} {
-		if err := step(s.name, s.sqls); err != nil {
+		if _, err := step(s.name, s.sqls); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
+}
+
+// DropExisting drops each object the catalog holds under that name with
+// that kind, so cleanup never issues a DROP bound to fail. Checking the
+// kind matters: a working name such as CodedSource is a table in the
+// simple class and a view in the general one.
+func DropExisting(db *engine.Database, objs ...translator.Object) {
+	cat := db.Catalog()
+	for _, o := range objs {
+		var ok bool
+		switch o.Kind {
+		case "TABLE":
+			_, ok = cat.Table(o.Name)
+		case "VIEW":
+			_, ok = cat.View(o.Name)
+		case "SEQUENCE":
+			_, ok = cat.Sequence(o.Name)
+		}
+		if ok {
+			_, _ = db.Exec(o.DropSQL())
+		}
+	}
 }
 
 // WriteMeta records the preprocessing fingerprint and parameters so a
@@ -120,7 +153,7 @@ func Run(ctx context.Context, db *engine.Database, tr *translator.Translation) (
 // (paper §3). Call it after a successful Run when the tables are kept.
 func WriteMeta(db *engine.Database, tr *translator.Translation, res *Result) error {
 	n := tr.Names.Meta
-	_, _ = db.Exec("DROP TABLE " + n)
+	DropExisting(db, translator.Object{Kind: "TABLE", Name: n})
 	if _, err := db.Exec(fmt.Sprintf(
 		"CREATE TABLE %s (fp VARCHAR, totg INTEGER, minsupport FLOAT)", n)); err != nil {
 		return err
@@ -172,7 +205,7 @@ func TryReuse(db *engine.Database, tr *translator.Translation) (*Result, bool) {
 	}
 	// Fresh encoded output tables for this run.
 	for _, t := range []string{n.OutputRules, n.OutputBodies, n.OutputHeads} {
-		_, _ = db.Exec("DROP TABLE " + t)
+		DropExisting(db, translator.Object{Kind: "TABLE", Name: t})
 	}
 	res := &Result{Totg: int(row[1].Int())}
 	res.MinGroups = mining.MinCount(tr.Stmt.MinSupport, res.Totg)
@@ -191,7 +224,5 @@ func TryReuse(db *engine.Database, tr *translator.Translation) (*Result, bool) {
 // "the same preprocessing could be in common to the execution of several
 // data mining queries").
 func Drop(db *engine.Database, tr *translator.Translation) {
-	for _, drop := range tr.Program.Cleanup {
-		_, _ = db.Exec(drop)
-	}
+	DropExisting(db, tr.Program.Cleanup...)
 }

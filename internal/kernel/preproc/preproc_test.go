@@ -126,10 +126,15 @@ func TestStepTraceAndRerun(t *testing.T) {
 	for _, s := range res.StepDurations {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"Q0", "Q1", "Q2", "Q3", "Q4", "output"} {
+	for _, want := range []string{"Q0", "Q2", "Q3", "Q4", "output"} {
 		if !names[want] {
 			t.Errorf("step %s missing", want)
 		}
+	}
+	// Q1 runs exactly when a group condition keeps it from folding
+	// into Q2.
+	if names["Q1"] != tr.Class.G {
+		t.Errorf("step Q1 present = %v, want %v", names["Q1"], tr.Class.G)
 	}
 	Drop(db, tr)
 	if _, ok := db.Catalog().Table("mr_s_bset"); ok {

@@ -16,12 +16,14 @@ const MinGroupsPlaceholder = ":mingroups"
 // Appendix A). Each field is a sequence of statements executed in order;
 // empty sequences mean the classification switched the step off.
 type Program struct {
-	// Cleanup drops every working object a previous run of the same
-	// statement may have left (errors are ignored by the preprocessor).
-	Cleanup []string
+	// Cleanup lists every working object a previous run of the same
+	// statement may have left; the preprocessor drops those the catalog
+	// holds.
+	Cleanup []Object
 	// Q0: materialize (W) or view (¬W) the source data.
 	Q0 []string
 	// Q1: the total-group count query (the paper's SELECT … INTO :totg).
+	// It runs only when Translation.Q1Folded is false.
 	Q1 string
 	// Q2: group selection and encoding.
 	Q2 []string
@@ -48,6 +50,15 @@ type Program struct {
 	// output tables.
 	Decode []string
 }
+
+// Object is one named working object of a translation.
+type Object struct {
+	Kind string // "TABLE", "VIEW" or "SEQUENCE"
+	Name string
+}
+
+// DropSQL is the statement that removes the object.
+func (o Object) DropSQL() string { return "DROP " + o.Kind + " " + o.Name }
 
 // Steps returns the preprocessing statements in execution order with
 // their paper names, for tracing.
@@ -79,6 +90,21 @@ func (p *Program) Steps() []struct {
 	add("Q10", p.Q10)
 	add("output", p.OutputSetup)
 	return out
+}
+
+// Q1Folded reports whether the preprocessor skips Q1. Without a group
+// condition every group is valid, so :totg equals the number of rows
+// Q2's INSERT INTO ValidGroups writes; Q1's own scan of Source would
+// only recount them.
+func (tr *Translation) Q1Folded() bool { return !tr.Class.G }
+
+// TotalGroupsQuery is Q1 as EXPLAIN shows it: the paper's query, with a
+// trailing comment naming where totg comes from when Q1 is folded.
+func (tr *Translation) TotalGroupsQuery() string {
+	if !tr.Q1Folded() {
+		return tr.Program.Q1
+	}
+	return tr.Program.Q1 + " -- folded into Q2: totg = rows inserted into " + tr.Names.ValidGroups
 }
 
 // generate fills tr.Program from the checked, classified statement.
@@ -121,13 +147,13 @@ func (tr *Translation) generate() error {
 		n.Elementary, n.LargeRules, n.InputRules, n.OutputRules,
 		n.OutputBodies, n.OutputHeads, n.Meta, n.Source,
 	} {
-		p.Cleanup = append(p.Cleanup, "DROP TABLE "+t)
+		p.Cleanup = append(p.Cleanup, Object{"TABLE", t})
 	}
 	for _, v := range []string{n.ValidGroupsView, n.CodedSource, n.Source} {
-		p.Cleanup = append(p.Cleanup, "DROP VIEW "+v)
+		p.Cleanup = append(p.Cleanup, Object{"VIEW", v})
 	}
 	for _, s := range []string{n.GidSeq, n.BidSeq, n.HidSeq, n.CidSeq} {
-		p.Cleanup = append(p.Cleanup, "DROP SEQUENCE "+s)
+		p.Cleanup = append(p.Cleanup, Object{"SEQUENCE", s})
 	}
 
 	// ---- Q0: Source -----------------------------------------------------
@@ -220,14 +246,18 @@ func (tr *Translation) generate() error {
 	}
 
 	// ---- Q4: CodedSource / MiningSource -----------------------------------
-	groupJoin := joinOn("S", "V", st.GroupAttrs)
-	bodyJoin := joinOn("S", "B", st.Body.Attrs)
 	if cl.Simple() {
+		// GroupsInBody already holds the distinct (body, mr_gid) pairs of
+		// Source ⋈ ValidGroups, and Bset one mr_bid per body tuple, so
+		// joining the two yields the paper's DISTINCT (mr_gid, mr_bid)
+		// pairs without rescanning Source.
 		p.Q4 = append(p.Q4,
 			fmt.Sprintf("CREATE TABLE %s (mr_gid INTEGER, mr_bid INTEGER)", n.CodedSource),
-			fmt.Sprintf("INSERT INTO %s (SELECT DISTINCT V.mr_gid, B.mr_bid FROM %s S, %s V, %s B WHERE %s AND %s)",
-				n.CodedSource, n.Source, n.ValidGroups, n.Bset, groupJoin, bodyJoin))
+			fmt.Sprintf("INSERT INTO %s (SELECT G.mr_gid, B.mr_bid FROM %s G, %s B WHERE %s)",
+				n.CodedSource, n.GroupsInBody, n.Bset, joinOn("G", "B", st.Body.Attrs)))
 	} else {
+		groupJoin := joinOn("S", "V", st.GroupAttrs)
+		bodyJoin := joinOn("S", "B", st.Body.Attrs)
 		// Q4b: MiningSource carries (mr_gid[, mr_cid], mr_bid[, mr_hid][, mine attrs]).
 		cols := "mr_gid INTEGER"
 		sel := "V.mr_gid"

@@ -49,8 +49,12 @@ const selfCheckMemoLimit = 256
 func (tr *Translation) programKey() string {
 	p := &tr.Program
 	var b strings.Builder
+	for _, o := range p.Cleanup {
+		b.WriteString(o.DropSQL())
+		b.WriteByte(0)
+	}
 	for _, sqls := range [][]string{
-		p.Cleanup, p.Q0, {p.Q1}, p.Q2, p.Q3, p.Q5, p.Q6, p.Q7,
+		p.Q0, {p.Q1}, p.Q2, p.Q3, p.Q5, p.Q6, p.Q7,
 		p.Q4, p.Q8, p.Q9, p.Q10, p.OutputSetup, p.Decode,
 	} {
 		for _, q := range sqls {
@@ -91,13 +95,14 @@ func (tr *Translation) selfCheckCached(cat *storage.Catalog) error {
 // sequences and views its predecessors create. The support placeholder
 // is substituted with a neutral literal — thresholds change values, not
 // names or types. Cleanup (and the core's output-table replacement) is
-// simulated tolerantly, mirroring how the preprocessor ignores drop
-// errors on a first run.
+// simulated tolerantly, mirroring how the preprocessor drops only the
+// objects that exist.
 func (tr *Translation) SelfCheck(base semck.Catalog) error {
 	ov := semck.NewOverlay(base)
 
-	tolerantDrop := func(sqls []string) {
-		for _, q := range sqls {
+	tolerantDrop := func(objs []Object) {
+		for _, o := range objs {
+			q := o.DropSQL()
 			st, err := parse.Parse(q)
 			if err != nil {
 				continue
@@ -107,13 +112,9 @@ func (tr *Translation) SelfCheck(base semck.Catalog) error {
 			}
 		}
 	}
-	tolerantDrop(tr.Program.Cleanup)
 	n := tr.Names
-	tolerantDrop([]string{
-		"DROP TABLE " + n.Output,
-		"DROP TABLE " + n.OutputBodyT,
-		"DROP TABLE " + n.OutputHeadT,
-	})
+	tolerantDrop(tr.Program.Cleanup)
+	tolerantDrop([]Object{{"TABLE", n.Output}, {"TABLE", n.OutputBodyT}, {"TABLE", n.OutputHeadT}})
 
 	check := func(step string, sqls []string) error {
 		for _, q := range sqls {

@@ -254,7 +254,10 @@ func TestGeneratedSQLParses(t *testing.T) {
 	db := newDB(t)
 	for _, stmt := range []string{simpleStmt, generalStmt} {
 		tr := translate(t, db, stmt)
-		all := append([]string{}, tr.Program.Cleanup...)
+		var all []string
+		for _, o := range tr.Program.Cleanup {
+			all = append(all, o.DropSQL())
+		}
 		for _, s := range tr.Program.Steps() {
 			all = append(all, s.SQL)
 		}

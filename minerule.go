@@ -579,7 +579,9 @@ type Explanation struct {
 	// Steps are the preprocessing SQL statements in execution order,
 	// labelled with the paper's query names ("Q0" … "Q10", "output").
 	Steps []ExplainStep
-	// TotalGroupsQuery is the paper's Q1.
+	// TotalGroupsQuery is the paper's Q1. Without a group condition it
+	// ends in a comment saying Q1 is folded into Q2: totg is then the
+	// number of rows inserted into ValidGroups and Q1 is not run.
 	TotalGroupsQuery string
 	// Decode are the postprocessor's SQL statements.
 	Decode []string
