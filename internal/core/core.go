@@ -36,13 +36,15 @@ const (
 	AlgoDHP           Algorithm = "apriori-dhp"        // hash-filtered [12]
 	AlgoPartition     Algorithm = "partition"          // two passes [13]
 	AlgoSampling      Algorithm = "sampling"           // Toivonen [7]
-	AlgoBitmap        Algorithm = "bitmap"             // vertical packed bitsets
+	AlgoBitmap        Algorithm = "bitmap"             // vertical packed bitsets; the default
 )
 
 // Options tunes a pipeline run.
 type Options struct {
 	// Algorithm picks the simple-core pool member; empty means
-	// AlgoApriori. General statements always use the lattice algorithm.
+	// AlgoBitmap, the member that measured fastest at every support of
+	// EXPERIMENTS.md E4. General statements always use the lattice
+	// algorithm.
 	Algorithm Algorithm
 	// ReplaceOutput drops pre-existing output tables of the same name
 	// instead of failing.
@@ -331,12 +333,9 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 		miner := poolMiner(opts.Algorithm)
 		res.Algorithm = miner.Name()
 		var in *mining.SimpleInput
-		in, err = readSimpleInput(ctx, db, tr, pre.Totg, opts.Limits.MaxRows == 0)
+		in, err = readSimpleInput(ctx, db, tr, pre.Totg)
 		if err != nil {
 			return nil, err
-		}
-		if _, ok := miner.(mining.Bitmap); ok {
-			in.PackCovers()
 		}
 		groupsRead = len(in.Groups)
 		rules = mining.MineSimple(miner, in, mopts)
@@ -433,10 +432,10 @@ func poolMiner(a Algorithm) mining.ItemsetMiner {
 		return mining.Partition{}
 	case AlgoSampling:
 		return mining.Sampling{}
-	case AlgoBitmap:
-		return mining.Bitmap{}
-	default:
+	case AlgoApriori:
 		return mining.Apriori{}
+	default: // AlgoBitmap, and the empty default
+		return mining.Bitmap{}
 	}
 }
 
@@ -455,44 +454,42 @@ func prepareOutputs(db *engine.Database, tr *translator.Translation, opts Option
 }
 
 // readSimpleInput loads CodedSource (Gid, Bid) into the simple-core
-// input format. With direct set (no per-statement row budget to
-// preserve) it reads the table snapshot straight out of the dictionary
-// and hands the (gid, bid) pairs to the miner without running a SELECT —
-// the preprocessing output skips the executor's materialize/re-encode
-// hop. The SQL path remains for budgeted runs and anything that is not
-// a plain base table with the expected columns.
-func readSimpleInput(ctx context.Context, db *engine.Database, tr *translator.Translation, totg int, direct bool) (*mining.SimpleInput, error) {
-	if direct {
-		if t, ok := db.Catalog().Table(tr.Names.CodedSource); ok {
-			sch := t.Schema()
-			gidOrd, gerr := sch.Resolve("", "mr_gid")
-			bidOrd, berr := sch.Resolve("", "mr_bid")
-			if gerr == nil && berr == nil {
-				rows := t.Snapshot()
-				gids := make([]int64, len(rows))
-				items := make([]mining.Item, len(rows))
-				for i, row := range rows {
-					if i&4095 == 4095 {
-						if err := resource.Check(ctx); err != nil {
-							return nil, err
-						}
-					}
-					gids[i] = row[gidOrd].Int()
-					items[i] = mining.Item(row[bidOrd].Int())
-				}
-				return mining.NewSimpleInputFromPairs(gids, items, totg), nil
-			}
-		}
+// input format. It reads the table snapshot straight out of the
+// dictionary and hands the (gid, bid) pairs to the miner without running
+// a SELECT, so the preprocessing output skips the executor's
+// materialize/re-encode hop. The read answers to the run's row budget
+// like any SQL step: a snapshot larger than the effective MaxRows fails
+// with a rows BudgetError.
+func readSimpleInput(ctx context.Context, db *engine.Database, tr *translator.Translation, totg int) (*mining.SimpleInput, error) {
+	t, ok := db.Catalog().Table(tr.Names.CodedSource)
+	if !ok {
+		return nil, fmt.Errorf("core: coded source %q is not a table", tr.Names.CodedSource)
 	}
-	res, err := db.QueryContext(ctx, "SELECT mr_gid, mr_bid FROM "+tr.Names.CodedSource)
+	sch := t.Schema()
+	gidOrd, err := sch.Resolve("", "mr_gid")
 	if err != nil {
 		return nil, err
 	}
-	byGroup := make(map[int64][]mining.Item)
-	for _, row := range res.Rows {
-		byGroup[row[0].Int()] = append(byGroup[row[0].Int()], mining.Item(row[1].Int()))
+	bidOrd, err := sch.Resolve("", "mr_bid")
+	if err != nil {
+		return nil, err
 	}
-	return mining.NewSimpleInput(byGroup, totg), nil
+	rows := t.Snapshot()
+	if l, _ := resource.LimitsFrom(ctx); l.MaxRows > 0 && len(rows) > l.MaxRows {
+		return nil, &resource.BudgetError{Resource: "rows", Limit: l.MaxRows}
+	}
+	gids := make([]int64, len(rows))
+	items := make([]mining.Item, len(rows))
+	for i, row := range rows {
+		if i&4095 == 4095 {
+			if err := resource.Check(ctx); err != nil {
+				return nil, err
+			}
+		}
+		gids[i] = row[gidOrd].Int()
+		items[i] = mining.Item(row[bidOrd].Int())
+	}
+	return mining.NewSimpleInputFromPairs(gids, items, totg), nil
 }
 
 // readGeneralInput loads CodedSource (plus ClusterCouples and InputRules

@@ -144,7 +144,7 @@ func TestSimpleStatementPipeline(t *testing.T) {
 }
 
 func TestAllAlgorithmsAgreeThroughPipeline(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoApriori, AlgoHorizontal, AlgoAprioriTid, AlgoAprioriHybrid, AlgoDHP, AlgoPartition, AlgoSampling} {
+	for _, algo := range []Algorithm{"", AlgoApriori, AlgoBitmap, AlgoHorizontal, AlgoAprioriTid, AlgoAprioriHybrid, AlgoDHP, AlgoPartition, AlgoSampling} {
 		db := purchaseDB(t)
 		res, err := Mine(db, `
 			MINE RULE Baskets AS
@@ -154,6 +154,13 @@ func TestAllAlgorithmsAgreeThroughPipeline(t *testing.T) {
 			EXTRACTING RULES WITH SUPPORT: 0.4, CONFIDENCE: 0.5`, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
+		}
+		wantAlgo := string(algo)
+		if algo == "" {
+			wantAlgo = "bitmap" // the default member
+		}
+		if res.Algorithm != wantAlgo {
+			t.Errorf("%q: Result.Algorithm = %q, want %q", algo, res.Algorithm, wantAlgo)
 		}
 		got := ruleStrings(t, db, res)
 		want := []string{

@@ -272,6 +272,55 @@ func TestMaxRowsBudget(t *testing.T) {
 	}
 }
 
+// TestReuseHonoursContextMaxRows: a reused run skips preprocessing, so
+// the core's read of CodedSource is its only data-sized step. A MaxRows
+// carried on the context alone (no Options.Limits) must bound that read
+// like the SELECT it replaces: a budget of exactly the row count passes,
+// one row less fails with a rows BudgetError.
+func TestReuseHonoursContextMaxRows(t *testing.T) {
+	db := engine.New()
+	var b strings.Builder
+	b.WriteString("CREATE TABLE Basket (tr INTEGER, item VARCHAR); INSERT INTO Basket VALUES ")
+	for g := 1; g <= 100; g++ {
+		for i, it := range []string{"a", "b", "c", "d"} {
+			if g > 1 || i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, '%s')", g, it)
+		}
+	}
+	if err := db.ExecScript(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	const coded = 400 // every (tr, item) pair is frequent, so all reach CodedSource
+	stmt := `MINE RULE Reused AS
+		SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE
+		FROM Basket GROUP BY tr
+		EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.5`
+	if _, err := Mine(db, stmt, Options{KeepEncoded: true}); err != nil {
+		t.Fatal(err)
+	}
+	reuse := func(maxRows int) (*Result, error) {
+		ctx := resource.WithLimits(context.Background(), resource.Limits{MaxRows: maxRows})
+		return MineContext(ctx, db, stmt, Options{KeepEncoded: true, ReuseEncoded: true, ReplaceOutput: true})
+	}
+	res, err := reuse(coded)
+	if err != nil {
+		t.Fatalf("reuse under MaxRows=%d: %v", coded, err)
+	}
+	if !res.Reused {
+		t.Fatal("second run did not reuse the kept encoded tables")
+	}
+	_, err = reuse(coded - 1)
+	if !errors.Is(err, resource.ErrBudgetExceeded) {
+		t.Fatalf("reuse under MaxRows=%d: err = %v, want ErrBudgetExceeded", coded-1, err)
+	}
+	var be *resource.BudgetError
+	if !errors.As(err, &be) || be.Resource != "rows" || be.Limit != coded-1 {
+		t.Fatalf("want a rows BudgetError with limit %d, got %v", coded-1, err)
+	}
+}
+
 // TestMaxCandidatesBudget trips the mining-phase candidate ceiling.
 func TestMaxCandidatesBudget(t *testing.T) {
 	for _, tc := range []struct{ name, stmt string }{
@@ -332,7 +381,7 @@ func TestGenerousLimitsSucceed(t *testing.T) {
 // or return silently truncated results as success.
 func TestPerAlgorithmCandidateBudget(t *testing.T) {
 	for _, algo := range []Algorithm{
-		AlgoApriori, AlgoHorizontal, AlgoAprioriTid, AlgoAprioriHybrid,
+		AlgoApriori, AlgoBitmap, AlgoHorizontal, AlgoAprioriTid, AlgoAprioriHybrid,
 		AlgoDHP, AlgoPartition, AlgoSampling,
 	} {
 		t.Run(string(algo), func(t *testing.T) {

@@ -47,23 +47,20 @@ func (Bitmap) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []Itemse
 	return out
 }
 
-// firstBitmapLevel builds the singleton bitmaps and keeps the large ones
-// in ascending item order; it also reports the pass-1 candidate count
-// (distinct items examined). Covers precomputed by PackCovers are used
-// as-is (read-only) when their word width matches.
+// firstBitmapLevel packs each item's group cover (bit g set when group
+// index g contains the item) and keeps the large singletons in ascending
+// item order; it also reports the pass-1 candidate count (distinct items
+// examined).
 func firstBitmapLevel(in *SimpleInput, words, minCount int) ([]bitNode, int) {
-	covers := in.Covers
-	if covers == nil || in.coverWords != words {
-		covers = make(map[Item][]uint64)
-		for g, tx := range in.Groups {
-			for _, it := range tx {
-				bm, ok := covers[it]
-				if !ok {
-					bm = make([]uint64, words)
-					covers[it] = bm
-				}
-				bm[g>>6] |= 1 << (uint(g) & 63)
+	covers := make(map[Item][]uint64)
+	for g, tx := range in.Groups {
+		for _, it := range tx {
+			bm, ok := covers[it]
+			if !ok {
+				bm = make([]uint64, words)
+				covers[it] = bm
 			}
+			bm[g>>6] |= 1 << (uint(g) & 63)
 		}
 	}
 	items := make([]Item, 0, len(covers))

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -270,66 +271,49 @@ type SimpleInput struct {
 	// TotalGroups is the support denominator (Q1's count over the whole
 	// Source; it may exceed len(Groups) when a group HAVING filtered).
 	TotalGroups int
-	// Covers, when non-nil, holds each item's packed group cover (bit g
-	// set when group index g contains the item) over coverWords words —
-	// the bitmap miner's first-level representation, precomputed by
-	// PackCovers so the miner skips the per-row re-encode hop.
-	Covers     map[Item][]uint64
-	coverWords int
-}
-
-// PackCovers precomputes the packed per-item group covers consumed by
-// the bitmap miner's first level. Callers that will mine with a
-// cover-list algorithm instead can skip it.
-func (in *SimpleInput) PackCovers() {
-	words := (len(in.Groups) + 63) / 64
-	covers := make(map[Item][]uint64)
-	for g, tx := range in.Groups {
-		for _, it := range tx {
-			bm, ok := covers[it]
-			if !ok {
-				bm = make([]uint64, words)
-				covers[it] = bm
-			}
-			bm[g>>6] |= 1 << (uint(g) & 63)
-		}
-	}
-	in.Covers, in.coverWords = covers, words
 }
 
 // NewSimpleInputFromPairs builds the input from parallel (gid, item)
 // slices — the shape the kernel reads straight out of the CodedSource
 // snapshot — without the intermediate per-gid map of NewSimpleInput.
-// Pairs sort by (gid, item); duplicates collapse; every group's item
-// slice is carved from one shared backing array.
+//
+// The gids must lie in a dense range: the pass allocates one counter per
+// value between the smallest and the largest gid. Sequence-minted gids
+// (the kernel's 1..totg) qualify; a gid absent from the pairs yields no
+// group. One counting pass buckets the items by gid into a shared
+// backing array, then each group's few items are sorted and deduplicated
+// in place. Groups come out in gid order; the arguments are not
+// modified.
 func NewSimpleInputFromPairs(gids []int64, items []Item, totalGroups int) *SimpleInput {
-	type pair struct {
-		g  int64
-		it Item
+	var lo, hi int64
+	if len(gids) > 0 {
+		lo, hi = slices.Min(gids), slices.Max(gids)
 	}
-	pairs := make([]pair, len(gids))
-	for i := range gids {
-		pairs[i] = pair{gids[i], items[i]}
+	// end[b+1] counts gid lo+b; the prefix sum turns end[b] into bucket
+	// b's start, and the fill advances it to bucket b's end.
+	end := make([]int, hi-lo+2)
+	for _, g := range gids {
+		end[g-lo+1]++
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].g != pairs[j].g {
-			return pairs[i].g < pairs[j].g
+	for b := 1; b < len(end); b++ {
+		end[b] += end[b-1]
+	}
+	backing := make([]Item, len(gids))
+	for i, g := range gids {
+		b := g - lo
+		backing[end[b]] = items[i]
+		end[b]++
+	}
+	in := &SimpleInput{TotalGroups: totalGroups, Groups: make([][]Item, 0, len(end)-1)}
+	start := 0
+	for _, e := range end[:len(end)-1] {
+		if e > start {
+			tx := backing[start:e]
+			slices.Sort(tx)
+			tx = slices.Compact(tx)
+			in.Groups = append(in.Groups, tx[:len(tx):len(tx)])
 		}
-		return pairs[i].it < pairs[j].it
-	})
-	in := &SimpleInput{TotalGroups: totalGroups}
-	backing := make([]Item, 0, len(pairs))
-	for i := 0; i < len(pairs); {
-		g := pairs[i].g
-		start := len(backing)
-		var prev Item = -1 << 62
-		for ; i < len(pairs) && pairs[i].g == g; i++ {
-			if pairs[i].it != prev {
-				backing = append(backing, pairs[i].it)
-				prev = pairs[i].it
-			}
-		}
-		in.Groups = append(in.Groups, backing[start:len(backing):len(backing)])
+		start = e
 	}
 	return in
 }

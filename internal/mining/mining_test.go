@@ -508,3 +508,42 @@ func TestPartitionParallelAgrees(t *testing.T) {
 		}
 	}
 }
+
+// TestSimpleInputFromPairsMatchesMap: the counting-pass hand-off builds
+// exactly the groups of the map-based constructor on shuffled pairs with
+// duplicate items, gids absent from the range, and ranges starting at 0
+// and at 1 — and leaves its arguments untouched.
+func TestSimpleInputFromPairsMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := int64(seed % 2)
+		span := 1 + rng.Intn(80)
+		byGroup := make(map[int64][]Item)
+		var gids []int64
+		var items []Item
+		for g := base; g < base+int64(span); g++ {
+			if rng.Intn(4) == 0 {
+				continue // absent gid
+			}
+			for n := 1 + rng.Intn(12); n > 0; n-- {
+				it := Item(rng.Intn(25)) // small alphabet: duplicates within a group
+				byGroup[g] = append(byGroup[g], it)
+				gids, items = append(gids, g), append(items, it)
+			}
+		}
+		rng.Shuffle(len(gids), func(i, j int) {
+			gids[i], gids[j] = gids[j], gids[i]
+			items[i], items[j] = items[j], items[i]
+		})
+		gidsIn, itemsIn := append([]int64(nil), gids...), append([]Item(nil), items...)
+
+		got := NewSimpleInputFromPairs(gids, items, span)
+		want := NewSimpleInput(byGroup, span)
+		if got.TotalGroups != want.TotalGroups || !reflect.DeepEqual(got.Groups, want.Groups) {
+			t.Fatalf("seed %d: groups differ\n got %v\nwant %v", seed, got.Groups, want.Groups)
+		}
+		if !reflect.DeepEqual(gids, gidsIn) || !reflect.DeepEqual(items, itemsIn) {
+			t.Fatalf("seed %d: arguments modified", seed)
+		}
+	}
+}

@@ -585,11 +585,19 @@ func (sess *session) sendError(code, msg string) error {
 	return sess.send(wire.MsgError, b.B)
 }
 
-// send writes one frame and flushes: every response frame reaches the
-// client before the session blocks on the next request.
+// send writes one frame. Row frames stay in the buffer, which writes
+// through to the connection whenever it fills, so a long result streams
+// at one write per buffer rather than per row; every other frame ends a
+// response (AuthOK, Prepared, Complete, Error) and flushes, so the whole
+// answer reaches the client before the session blocks on the next
+// request.
 func (sess *session) send(typ byte, payload []byte) error {
 	if err := wire.WriteFrame(sess.bw, typ, payload); err != nil {
 		return err
+	}
+	switch typ {
+	case wire.MsgRowDesc, wire.MsgDataRow, wire.MsgRuleRow:
+		return nil
 	}
 	return sess.bw.Flush()
 }

@@ -378,7 +378,8 @@ const (
 // Option adjusts one Mine call.
 type Option func(*core.Options)
 
-// WithAlgorithm picks the simple-core pool member (default Apriori).
+// WithAlgorithm picks the simple-core pool member (default Bitmap;
+// Apriori selects the gid-list levelwise miner).
 func WithAlgorithm(a Algorithm) Option {
 	return func(o *core.Options) { o.Algorithm = core.Algorithm(a) }
 }

@@ -26,7 +26,7 @@ func TestPublicTraceAndStats(t *testing.T) {
 		t.Error("Stats.Passes is empty for a levelwise run")
 	}
 	rendered := res.Stats.Trace.String()
-	for _, want := range []string{"mine", "translate", "preprocess", "core", "postprocess", "pass", "algorithm=apriori"} {
+	for _, want := range []string{"mine", "translate", "preprocess", "core", "postprocess", "pass", "algorithm=bitmap"} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("rendered trace missing %q:\n%s", want, rendered)
 		}
