@@ -97,5 +97,5 @@ func ExampleSystem_Explain() {
 	// Output:
 	// class: {M}
 	// simple core: false
-	// Q0 CREATE VIEW mr_r_source AS SELECT gid, item, price FROM T
+	// Q2 CREATE SEQUENCE mr_r_gidseq
 }

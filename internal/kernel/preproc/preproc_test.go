@@ -126,10 +126,13 @@ func TestStepTraceAndRerun(t *testing.T) {
 	for _, s := range res.StepDurations {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"Q0", "Q2", "Q3", "Q4", "output"} {
+	for _, want := range []string{"Q2", "Q3", "Q4", "output"} {
 		if !names[want] {
 			t.Errorf("step %s missing", want)
 		}
+	}
+	if names["Q0"] != tr.Class.W {
+		t.Errorf("step Q0 present = %v, want %v", names["Q0"], tr.Class.W)
 	}
 	// Q1 runs exactly when a group condition keeps it from folding
 	// into Q2.
@@ -140,8 +143,11 @@ func TestStepTraceAndRerun(t *testing.T) {
 	if _, ok := db.Catalog().Table("mr_s_bset"); ok {
 		t.Error("Drop left Bset behind")
 	}
-	if _, ok := db.Catalog().View("mr_s_source"); ok {
-		t.Error("Drop left the Source view behind")
+	if db.Catalog().Exists("mr_s_source") {
+		t.Error("a run without W created Source")
+	}
+	if n, err := db.QueryInt("SELECT COUNT(*) FROM Purchase"); err != nil || n != 6 {
+		t.Errorf("Purchase after Drop: %d rows (%v)", n, err)
 	}
 }
 

@@ -17,12 +17,16 @@ import (
 )
 
 // The paper's Q1 and simple-class Q4, as the translator emitted them
-// before Q4 read GroupsInBody and Q1 folded into Q2. Placeholders:
-// group attrs, Source; CodedSource, Source, ValidGroups, Bset, group
-// join, body join.
+// before Q4 read GroupsInBody and Q1 folded into Q2, and the
+// pass-through Source view it created without W before the programs
+// read the FROM table. Placeholders: group attrs, Source; CodedSource,
+// Source, ValidGroups, Bset, group join, body join; Source, needed
+// attrs, FROM table.
 const (
-	paperQ1 = "SELECT COUNT(*) FROM (SELECT DISTINCT %s FROM %s)"
-	paperQ4 = "INSERT INTO %s (SELECT DISTINCT V.mr_gid, B.mr_bid FROM %s S, %s V, %s B WHERE %s AND %s)"
+	paperQ1     = "SELECT COUNT(*) FROM (SELECT DISTINCT %s FROM %s)"
+	paperQ4     = "INSERT INTO %s (SELECT DISTINCT V.mr_gid, B.mr_bid FROM %s S, %s V, %s B WHERE %s AND %s)"
+	sourceView  = "CREATE VIEW %s AS SELECT %s FROM %s"
+	paperSource = "mr_paper_source"
 )
 
 // handData has duplicate source rows, NULL body values in each body
@@ -58,7 +62,9 @@ func diffSeed(t *testing.T) int64 {
 
 // TestRewritesMatchPaperProgram runs the paper's Q1 and simple-class Q4
 // next to the rewritten program on the same database: CodedSource, totg
-// and the mined rules must be identical.
+// and the mined rules must be identical. Without W the paper's queries
+// read the old view-based Source, so the direct reads of the FROM table
+// are checked against it too.
 func TestRewritesMatchPaperProgram(t *testing.T) {
 	seed := diffSeed(t)
 	quest := func(db *engine.Database) error {
@@ -108,8 +114,22 @@ func TestRewritesMatchPaperProgram(t *testing.T) {
 				t.Fatal(err)
 			}
 			n, g := tr.Names, st.GroupAttrs
+			src := n.Source
+			if !tr.Class.W {
+				if len(tr.Program.Q0) != 0 {
+					t.Fatalf("Q0 without W: %v", tr.Program.Q0)
+				}
+				needed := make([]string, len(tr.NeededAttrs))
+				for i, c := range tr.NeededAttrs {
+					needed[i] = c.Name
+				}
+				src = paperSource
+				if _, err := db.Exec(fmt.Sprintf(sourceView, src, strings.Join(needed, ", "), st.From[0].Name)); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-			paperTotg, err := db.QueryInt(fmt.Sprintf(paperQ1, strings.Join(g, ", "), n.Source))
+			paperTotg, err := db.QueryInt(fmt.Sprintf(paperQ1, strings.Join(g, ", "), src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +139,7 @@ func TestRewritesMatchPaperProgram(t *testing.T) {
 
 			const paperCoded = "mr_paper_codedsource"
 			if err := db.ExecScript(fmt.Sprintf("CREATE TABLE %s (mr_gid INTEGER, mr_bid INTEGER); ", paperCoded) +
-				fmt.Sprintf(paperQ4, paperCoded, n.Source, n.ValidGroups, n.Bset,
+				fmt.Sprintf(paperQ4, paperCoded, src, n.ValidGroups, n.Bset,
 					equiJoin("S", "V", g), equiJoin("S", "B", st.Body.Attrs))); err != nil {
 				t.Fatal(err)
 			}

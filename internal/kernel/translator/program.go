@@ -20,7 +20,8 @@ type Program struct {
 	// statement may have left; the preprocessor drops those the catalog
 	// holds.
 	Cleanup []Object
-	// Q0: materialize (W) or view (¬W) the source data.
+	// Q0: materialize the source data when W; empty otherwise, and the
+	// later steps read the FROM table directly.
 	Q0 []string
 	// Q1: the total-group count query (the paper's SELECT … INTO :totg).
 	// It runs only when Translation.Q1Folded is false.
@@ -141,30 +142,48 @@ func (tr *Translation) generate() error {
 	}
 
 	// ---- Cleanup --------------------------------------------------------
-	for _, t := range []string{
+	// The working names stay in the list even when ¬W leaves Source
+	// unused (a run of an older program may have left it), but a name
+	// that is one of the statement's FROM tables is the user's data and
+	// is never dropped.
+	fromTable := func(name string) bool {
+		for _, t := range st.From {
+			if strings.EqualFold(t.Name, name) {
+				return true
+			}
+		}
+		return false
+	}
+	addCleanup := func(kind string, names ...string) {
+		for _, name := range names {
+			if !fromTable(name) {
+				p.Cleanup = append(p.Cleanup, Object{kind, name})
+			}
+		}
+	}
+	addCleanup("TABLE",
 		n.ValidGroups, n.GroupsInBody, n.Bset, n.GroupsInHead, n.Hset,
 		n.Clusters, n.ClusterCouples, n.MiningSource, n.CodedSource,
 		n.Elementary, n.LargeRules, n.InputRules, n.OutputRules,
-		n.OutputBodies, n.OutputHeads, n.Meta, n.Source,
-	} {
-		p.Cleanup = append(p.Cleanup, Object{"TABLE", t})
-	}
-	for _, v := range []string{n.ValidGroupsView, n.CodedSource, n.Source} {
-		p.Cleanup = append(p.Cleanup, Object{"VIEW", v})
-	}
-	for _, s := range []string{n.GidSeq, n.BidSeq, n.HidSeq, n.CidSeq} {
-		p.Cleanup = append(p.Cleanup, Object{"SEQUENCE", s})
-	}
+		n.OutputBodies, n.OutputHeads, n.Meta, n.Source)
+	addCleanup("VIEW", n.ValidGroupsView, n.CodedSource, n.Source)
+	addCleanup("SEQUENCE", n.GidSeq, n.BidSeq, n.HidSeq, n.CidSeq)
 
 	// ---- Q0: Source -----------------------------------------------------
-	fromList := make([]string, len(st.From))
-	for i, t := range st.From {
-		fromList[i] = t.Name
-		if t.Alias != "" {
-			fromList[i] += " AS " + t.Alias
-		}
-	}
+	// src is the relation Q1–Q6 read. As in the paper, Q0 runs only when
+	// W: the source condition (or join) is materialized into Source.
+	// Otherwise the programs read the single FROM table itself; a view
+	// in between would re-project the whole table at every reference.
+	src := st.From[0].Name
 	if cl.W {
+		src = n.Source
+		fromList := make([]string, len(st.From))
+		for i, t := range st.From {
+			fromList[i] = t.Name
+			if t.Alias != "" {
+				fromList[i] += " AS " + t.Alias
+			}
+		}
 		p.Q0 = append(p.Q0,
 			fmt.Sprintf("CREATE TABLE %s (%s)", n.Source, typed(neededNames)))
 		q := fmt.Sprintf("INSERT INTO %s (SELECT %s FROM %s",
@@ -174,22 +193,16 @@ func (tr *Translation) generate() error {
 		}
 		q += ")"
 		p.Q0 = append(p.Q0, q)
-	} else {
-		// The paper skips Q0 when W is false; a non-materialized view
-		// keeps the downstream programs uniform at zero copy cost.
-		p.Q0 = append(p.Q0,
-			fmt.Sprintf("CREATE VIEW %s AS SELECT %s FROM %s",
-				n.Source, list(neededNames), fromList[0]))
 	}
 
 	// ---- Q1: total groups ------------------------------------------------
 	p.Q1 = fmt.Sprintf("SELECT COUNT(*) FROM (SELECT DISTINCT %s FROM %s)",
-		list(st.GroupAttrs), n.Source)
+		list(st.GroupAttrs), src)
 
 	// ---- Q2: group selection and encoding --------------------------------
 	p.Q2 = append(p.Q2, "CREATE SEQUENCE "+n.GidSeq)
 	q2v := fmt.Sprintf("CREATE VIEW %s AS SELECT %s FROM %s GROUP BY %s",
-		n.ValidGroupsView, list(st.GroupAttrs), n.Source, list(st.GroupAttrs))
+		n.ValidGroupsView, list(st.GroupAttrs), src, list(st.GroupAttrs))
 	if cl.G {
 		q2v += " HAVING " + st.GroupCond.SQL()
 	}
@@ -203,7 +216,7 @@ func (tr *Translation) generate() error {
 		return []string{
 			fmt.Sprintf("CREATE TABLE %s (%s, mr_gid INTEGER)", groupsT, typed(attrs)),
 			fmt.Sprintf("INSERT INTO %s (SELECT DISTINCT %s, V.mr_gid FROM %s S, %s V WHERE %s)",
-				groupsT, qlist("S", attrs), n.Source, n.ValidGroups,
+				groupsT, qlist("S", attrs), src, n.ValidGroups,
 				joinOn("S", "V", st.GroupAttrs)),
 			"CREATE SEQUENCE " + seq,
 			fmt.Sprintf("CREATE TABLE %s (%s INTEGER, %s, mr_gcount INTEGER)", set, idCol, typed(attrs)),
@@ -225,7 +238,7 @@ func (tr *Translation) generate() error {
 			inner += fmt.Sprintf(", %s(S.%s) AS %s", a.Func, a.Attr, a.Col)
 		}
 		inner += fmt.Sprintf(" FROM %s S, %s V WHERE %s GROUP BY V.mr_gid, %s",
-			n.Source, n.ValidGroups, joinOn("S", "V", st.GroupAttrs), qlist("S", st.ClusterAttrs))
+			src, n.ValidGroups, joinOn("S", "V", st.GroupAttrs), qlist("S", st.ClusterAttrs))
 		p.Q6 = append(p.Q6,
 			"CREATE SEQUENCE "+n.CidSeq,
 			fmt.Sprintf("CREATE TABLE %s (%s)", n.Clusters, cols),
@@ -285,16 +298,16 @@ func (tr *Translation) generate() error {
 		if !cl.H {
 			p.Q4 = append(p.Q4, fmt.Sprintf(
 				"INSERT INTO %s (SELECT DISTINCT %s, B.mr_bid%s FROM %s S, %s V, %s B%s WHERE %s AND %s%s)",
-				n.MiningSource, sel, mineSel, n.Source, n.ValidGroups, n.Bset,
+				n.MiningSource, sel, mineSel, src, n.ValidGroups, n.Bset,
 				fromClusters, groupJoin, bodyJoin, clusterJoin))
 		} else {
 			headJoin := joinOn("S", "HS", st.Head.Attrs)
 			p.Q4 = append(p.Q4,
 				fmt.Sprintf("INSERT INTO %s (SELECT DISTINCT %s, B.mr_bid, NULL%s FROM %s S, %s V, %s B%s WHERE %s AND %s%s)",
-					n.MiningSource, sel, mineSel, n.Source, n.ValidGroups, n.Bset,
+					n.MiningSource, sel, mineSel, src, n.ValidGroups, n.Bset,
 					fromClusters, groupJoin, bodyJoin, clusterJoin),
 				fmt.Sprintf("INSERT INTO %s (SELECT DISTINCT %s, NULL, HS.mr_hid%s FROM %s S, %s V, %s HS%s WHERE %s AND %s%s)",
-					n.MiningSource, sel, mineSel, n.Source, n.ValidGroups, n.Hset,
+					n.MiningSource, sel, mineSel, src, n.ValidGroups, n.Hset,
 					fromClusters, groupJoin, headJoin, clusterJoin))
 		}
 

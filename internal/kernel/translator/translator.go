@@ -56,7 +56,7 @@ func (c Class) String() string {
 type Names struct {
 	Prefix string
 
-	Source          string // materialized (or viewed) source data (Q0)
+	Source          string // materialized source data (Q0, when W)
 	ValidGroupsView string // Q2
 	ValidGroups     string // Q2
 	GroupsInBody    string // Q3 temporary

@@ -136,17 +136,22 @@ func TestProgramShapeSimple(t *testing.T) {
 	if len(p.Q5)+len(p.Q6)+len(p.Q7)+len(p.Q8)+len(p.Q9)+len(p.Q10) != 0 {
 		t.Error("simple statements must not generate general-path queries")
 	}
-	// W false: Source is a view, not a copy.
-	if !strings.HasPrefix(p.Q0[0], "CREATE VIEW") {
-		t.Errorf("Q0 = %v", p.Q0)
+	// W false: Q0 is skipped and the programs read the FROM table.
+	if len(p.Q0) != 0 {
+		t.Errorf("Q0 = %v, want none", p.Q0)
 	}
-	if !strings.Contains(p.Q1, "COUNT(*)") || !strings.Contains(p.Q1, "DISTINCT cust") {
+	if !strings.Contains(p.Q1, "COUNT(*)") || !strings.Contains(p.Q1, "DISTINCT cust FROM Purchase") {
 		t.Errorf("Q1 = %s", p.Q1)
 	}
-	// Q3's large filter uses the placeholder.
+	// Q3 reads Purchase and its large filter uses the placeholder.
 	q3 := strings.Join(p.Q3, "\n")
-	if !strings.Contains(q3, MinGroupsPlaceholder) {
-		t.Errorf("Q3 misses %s:\n%s", MinGroupsPlaceholder, q3)
+	if !strings.Contains(q3, MinGroupsPlaceholder) || !strings.Contains(q3, "FROM Purchase S,") {
+		t.Errorf("Q3 misses %s or the FROM table:\n%s", MinGroupsPlaceholder, q3)
+	}
+	for _, o := range p.Cleanup {
+		if strings.EqualFold(o.Name, "Purchase") {
+			t.Errorf("Cleanup names the FROM table: %v", o)
+		}
 	}
 	// CodedSource is a table here.
 	q4 := strings.Join(p.Q4, "\n")

@@ -193,3 +193,72 @@ func BenchmarkIndexedPointLookup(b *testing.B) {
 		})
 	}
 }
+
+// basketBenchDB loads the shape of the basket workload's preprocessing
+// inputs: S holds 4000 groups of 10 distinct VARCHAR items (40k rows),
+// V numbers the groups as ValidGroups does.
+func basketBenchDB(b *testing.B) *Database {
+	b.Helper()
+	db := New()
+	if err := db.ExecScript("CREATE TABLE S (gid INTEGER, item VARCHAR); CREATE TABLE V (mr_gid INTEGER, gid INTEGER)"); err != nil {
+		b.Fatal(err)
+	}
+	const groups, perGroup = 4000, 10
+	var sb strings.Builder
+	for g := 0; g < groups; g++ {
+		if sb.Len() > 0 {
+			sb.WriteString(", ")
+		}
+		for j := 0; j < perGroup; j++ {
+			if j > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, 'item%03d')", g, (g*13+j*37)%500)
+		}
+		if (g+1)%50 == 0 {
+			if _, err := db.Exec("INSERT INTO S VALUES " + sb.String()); err != nil {
+				b.Fatal(err)
+			}
+			sb.Reset()
+		}
+	}
+	if _, err := db.Exec("INSERT INTO V (SELECT DISTINCT gid + 1, gid FROM S)"); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkDistinctJoinPairs measures Q3's shape: a DISTINCT over a
+// hash join that yields 40k distinct (VARCHAR, INTEGER) pairs, so the
+// dedup table, not the join, holds most keys.
+func BenchmarkDistinctJoinPairs(b *testing.B) {
+	db := basketBenchDB(b)
+	const q = "SELECT DISTINCT S.item, V.mr_gid FROM S, V WHERE S.gid = V.gid"
+	if res, err := db.Query(q); err != nil || len(res.Rows) != 40000 {
+		b.Fatalf("setup: %v rows, %v", len(res.Rows), err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPointFilter measures an unindexed point read over 40k rows:
+// a scan that copies and filters every row to return ten.
+func BenchmarkPointFilter(b *testing.B) {
+	db := basketBenchDB(b)
+	const q = "SELECT * FROM S WHERE gid = 1234"
+	if res, err := db.Query(q); err != nil || len(res.Rows) != 10 {
+		b.Fatalf("setup: %v rows, %v", len(res.Rows), err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,9 +3,8 @@ package exec
 // batch.go implements the batched (vectorized) execution path: rows
 // flow between operators in windows of up to batchSize instead of one
 // at a time, output rows are carved out of arena blocks instead of
-// allocated individually, and group/join keys build into length-framed
-// byte columns (one shared buffer + offsets per batch) on the existing
-// value.AppendKey zero-allocation paths.
+// allocated individually, and group/join keys build into one reused
+// buffer on the value.AppendKey paths and intern in a keyTable.
 //
 // The row-at-a-time operators in select.go remain as the reference
 // implementation: Runtime.rowMode switches the executor back to them,
@@ -25,19 +24,14 @@ import (
 )
 
 // batchSize is the target number of rows per batch: small enough that a
-// batch of row headers and its key column stay cache-resident, large
-// enough to amortize per-batch accounting to noise.
+// batch of row headers stays cache-resident, large enough to amortize
+// per-batch accounting to noise.
 const batchSize = 512
 
 // batch is the unit of flow between batched operators: a window of row
-// references plus, when the producing operator computed them, a
-// column-major key column (length-framed bytes, keyOff[i]..keyOff[i+1]
-// is row i's key).
+// references.
 type batch struct {
 	rows []schema.Row
-	// key column; empty unless the producer filled it via keyColumn.
-	keyBuf []byte
-	keyOff []int
 }
 
 // batchSource is the batched iterator interface. NextBatch returns the
@@ -116,50 +110,20 @@ func (a *rowArena) alloc(w int) schema.Row {
 }
 
 // ---------------------------------------------------------------------------
-// Key columns
+// Keys
 
-// keyColumn accumulates length-framed key bytes for one batch: the
-// shared buffer and per-row offsets live across batches, so steady
-// state allocates nothing.
-type keyColumn struct {
-	buf []byte
-	off []int
-}
-
-func (k *keyColumn) reset() {
-	k.buf = k.buf[:0]
-	k.off = k.off[:0]
-	k.off = append(k.off, 0)
-}
-
-// appendRowKey appends one row's key built from the given column
-// ordinals. It reports false (and records an empty key) when any key
-// column is NULL — NULL never equi-joins or groups with anything under
-// join semantics; group-by callers use appendValuesKey instead.
-func (k *keyColumn) appendRowKey(row schema.Row, cols []int) bool {
+// appendJoinKey appends row's composite key over the columns cols to
+// dst, framed as schema.Row.AppendKey frames it. It reports false when
+// a key column is NULL: NULL never equi-joins.
+func appendJoinKey(dst []byte, row schema.Row, cols []int) ([]byte, bool) {
 	for _, c := range cols {
 		if row[c].IsNull() {
-			k.buf = k.buf[:k.off[len(k.off)-1]]
-			k.off = append(k.off, len(k.buf))
-			return false
+			return dst, false
 		}
-		k.buf = schema.AppendValueKey(k.buf, row[c])
+		dst = schema.AppendValueKey(dst, row[c])
 	}
-	k.off = append(k.off, len(k.buf))
-	return true
+	return dst, true
 }
-
-// appendValuesKey appends one composite key over already-evaluated
-// values (NULLs included, as GROUP BY treats NULLs as equal).
-func (k *keyColumn) appendValuesKey(vals []value.Value) {
-	for _, v := range vals {
-		k.buf = schema.AppendValueKey(k.buf, v)
-	}
-	k.off = append(k.off, len(k.buf))
-}
-
-// key returns row i's key bytes.
-func (k *keyColumn) key(i int) []byte { return k.buf[k.off[i]:k.off[i+1]] }
 
 // ---------------------------------------------------------------------------
 // Sources

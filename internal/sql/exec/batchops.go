@@ -7,6 +7,7 @@ package exec
 // a FROM list.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -78,24 +79,18 @@ func (rt *Runtime) projectBatched(s *parse.Select, src batchSource, distinct boo
 
 	w := len(fns)
 	var (
-		arena    rowArena
-		outRows  []schema.Row
-		batches  int64
-		rowsIn   int64
-		seen    map[string]bool
+		arena   rowArena
+		outRows []schema.Row
+		batches int64
+		rowsIn  int64
+		seen    keyTable
 		scratch schema.Row
 		distBuf []byte
 	)
-	hint := src.sizeHint()
-	if hint > 0 {
+	if hint := src.sizeHint(); hint > 0 {
 		outRows = make([]schema.Row, 0, hint)
 	}
 	if distinct {
-		sz := hint
-		if sz < 0 {
-			sz = 0
-		}
-		seen = make(map[string]bool, sz)
 		scratch = make(schema.Row, w)
 	}
 	for {
@@ -124,10 +119,14 @@ func (rt *Runtime) projectBatched(s *parse.Select, src batchSource, distinct boo
 					scratch[i] = v
 				}
 				distBuf = scratch.AppendKey(distBuf[:0])
-				if seen[string(distBuf)] {
+				_, added, err := seen.insert(distBuf)
+				if err != nil {
+					rt.popOp(sp, parent)
+					return nil, err
+				}
+				if !added {
 					continue
 				}
-				seen[string(distBuf)] = true
 				out := arena.alloc(w)
 				copy(out, scratch)
 				outRows = append(outRows, out)
@@ -178,24 +177,22 @@ type aggAcc struct {
 	allInt bool
 	best   value.Value // MIN/MAX champion
 	have   bool
-	seen   map[string]bool // DISTINCT keys, lazily allocated
 }
 
 // accumulate folds one argument value into the accumulator, mirroring
-// computeAggregate's per-group semantics value for value.
-func (acc *aggAcc) accumulate(a *parse.FuncCall, v value.Value, keyBuf *[]byte) error {
+// computeAggregate's per-group semantics value for value. A DISTINCT
+// aggregate's values seen so far are the keys of seen that start with
+// the group's id gid.
+func (acc *aggAcc) accumulate(a *parse.FuncCall, v value.Value, seen *keyTable, gid int32, keyBuf *[]byte) error {
 	if v.IsNull() {
 		return nil
 	}
 	if a.Distinct {
-		*keyBuf = v.AppendKey((*keyBuf)[:0])
-		if acc.seen == nil {
-			acc.seen = make(map[string]bool)
+		*keyBuf = v.AppendKey(binary.LittleEndian.AppendUint32((*keyBuf)[:0], uint32(gid)))
+		_, added, err := seen.insert(*keyBuf)
+		if err != nil || !added {
+			return err
 		}
-		if acc.seen[string(*keyBuf)] {
-			return nil
-		}
-		acc.seen[string(*keyBuf)] = true
 	}
 	switch a.Name {
 	case "COUNT":
@@ -270,9 +267,10 @@ type groupState struct {
 }
 
 // groupBatched implements GROUP BY / HAVING / aggregate projection over
-// a batched input with streaming accumulators. Group keys build into a
-// per-batch length-framed key column; group states are carved from
-// pooled blocks so a query with many groups does not allocate per group.
+// a batched input with streaming accumulators. Group keys intern in a
+// keyTable, whose ids index the group states; the states are carved
+// from pooled blocks so a query with many groups does not allocate per
+// group.
 func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, error) {
 	sp, parent := rt.pushOp("group")
 	defer rt.popOp(sp, parent)
@@ -308,12 +306,13 @@ func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, er
 	}
 
 	var (
-		groups    = make(map[string]*groupState)
-		order     []*groupState
+		groups    keyTable
+		order     []*groupState // by group id
+		distinct  = make([]keyTable, len(aggNodes))
 		statePool []groupState
 		accPool   []aggAcc
 		kr        = make([]value.Value, len(keyFns))
-		kc        keyColumn
+		keyBuf    []byte
 		distBuf   []byte
 		batches   int64
 		repArena  rowArena // backs rep copies from a volatile source
@@ -354,7 +353,6 @@ func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, er
 			return nil, err
 		}
 		batches++
-		kc.reset()
 		for _, row := range b.rows {
 			for i, f := range keyFns {
 				v, err := f(row)
@@ -363,10 +361,15 @@ func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, er
 				}
 				kr[i] = v
 			}
-			kc.appendValuesKey(kr)
-			key := kc.key(len(kc.off) - 2)
-			g, ok := groups[string(key)]
-			if !ok {
+			keyBuf = schema.Row(kr).AppendKey(keyBuf[:0])
+			gid, added, err := groups.insert(keyBuf)
+			if err != nil {
+				return nil, err
+			}
+			var g *groupState
+			if !added {
+				g = order[gid]
+			} else {
 				g = newState()
 				g.rep = row
 				if vol {
@@ -376,7 +379,6 @@ func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, er
 					copy(cp, row)
 					g.rep = cp
 				}
-				groups[string(key)] = g
 				order = append(order, g)
 			}
 			g.n++
@@ -388,7 +390,7 @@ func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, er
 				if err != nil {
 					return nil, err
 				}
-				if err := g.accs[i].accumulate(a, v, &distBuf); err != nil {
+				if err := g.accs[i].accumulate(a, v, &distinct[i], gid, &distBuf); err != nil {
 					return nil, err
 				}
 			}
@@ -500,31 +502,9 @@ func (rt *Runtime) hashJoinBatched(left, right *relation, keys []keyPair) ([]sch
 		}
 	}
 
-	// Build phase: bucket row positions by key. Pointer-valued buckets
-	// keep appends allocation-free after first sight (see storage.Index).
-	build := make(map[string]*[]int32, len(buildRel.rows))
-	var kc keyColumn
-	for base := 0; base < len(buildRel.rows); base += batchSize {
-		end := base + batchSize
-		if end > len(buildRel.rows) {
-			end = len(buildRel.rows)
-		}
-		kc.reset()
-		for i := base; i < end; i++ {
-			if !kc.appendRowKey(buildRel.rows[i], buildCols) {
-				continue // NULL never joins
-			}
-			k := kc.key(i - base)
-			if bucket := build[string(k)]; bucket != nil {
-				*bucket = append(*bucket, int32(i))
-				continue
-			}
-			bucket := []int32{int32(i)}
-			build[string(k)] = &bucket
-		}
-		if err := rt.pollN(end - base); err != nil {
-			return nil, buildSide, err
-		}
+	build, err := rt.buildJoinTable(buildRel.rows, buildCols)
+	if err != nil {
+		return nil, buildSide, err
 	}
 
 	// Probe phase. Presize the output for the key-foreign-key case
@@ -532,24 +512,21 @@ func (rt *Runtime) hashJoinBatched(left, right *relation, keys []keyPair) ([]sch
 	lw := left.schema.Len()
 	w := lw + right.schema.Len()
 	var arena rowArena
+	var kb []byte
 	out := make([]schema.Row, 0, len(buildRel.rows))
 	for base := 0; base < len(probeRel.rows); base += batchSize {
 		end := base + batchSize
 		if end > len(probeRel.rows) {
 			end = len(probeRel.rows)
 		}
-		kc.reset()
 		emitted := 0
 		for i := base; i < end; i++ {
 			probe := probeRel.rows[i]
-			if !kc.appendRowKey(probe, probeCols) {
+			var ok bool
+			if kb, ok = appendJoinKey(kb[:0], probe, probeCols); !ok {
 				continue
 			}
-			bucket := build[string(kc.key(i-base))]
-			if bucket == nil {
-				continue
-			}
-			for _, bi := range *bucket {
+			for _, bi := range build.bucket(kb) {
 				var l, r schema.Row
 				if buildSide == "left" {
 					l, r = buildRel.rows[bi], probe
@@ -582,7 +559,7 @@ type hashJoinSource struct {
 	sch         *schema.Schema
 	buildRows   []schema.Row
 	probeRows   []schema.Row
-	build       map[string]*[]int32
+	build       *joinTable
 	probeCols   []int
 	buildIsLeft bool
 	lw, w       int
@@ -624,37 +601,18 @@ func (rt *Runtime) newHashJoinSource(left, right *relation, keys []keyPair) (*ha
 		sch:         left.schema.Append(right.schema),
 		buildRows:   buildRel.rows,
 		probeRows:   probeRel.rows,
-		build:       make(map[string]*[]int32, len(buildRel.rows)),
 		probeCols:   probeCols,
 		buildIsLeft: buildSide == "left",
 		lw:          left.schema.Len(),
 		sp:          sp,
 	}
 	s.w = s.sch.Len()
-	var kc keyColumn
-	for base := 0; base < len(s.buildRows); base += batchSize {
-		end := base + batchSize
-		if end > len(s.buildRows) {
-			end = len(s.buildRows)
-		}
-		kc.reset()
-		for i := base; i < end; i++ {
-			if !kc.appendRowKey(s.buildRows[i], buildCols) {
-				continue // NULL never joins
-			}
-			k := kc.key(i - base)
-			if bucket := s.build[string(k)]; bucket != nil {
-				*bucket = append(*bucket, int32(i))
-				continue
-			}
-			bucket := []int32{int32(i)}
-			s.build[string(k)] = &bucket
-		}
-		if err := rt.pollN(end - base); err != nil {
-			rt.popOp(sp, parent)
-			return nil, err
-		}
+	build, err := rt.buildJoinTable(s.buildRows, buildCols)
+	if err != nil {
+		rt.popOp(sp, parent)
+		return nil, err
 	}
+	s.build = build
 	rt.tracef("hash join on %d key(s): %d x %d row(s)", len(keys), len(left.rows), len(right.rows))
 	if sp != nil {
 		sp.SetStr("strategy", "hash")
@@ -724,25 +682,12 @@ func (s *hashJoinSource) NextBatch() (*batch, error) {
 		probe := s.probeRows[s.pos]
 		s.pos++
 		probed++
-		kb := s.kb[:0]
-		null := false
-		for _, c := range s.probeCols {
-			v := probe[c]
-			if v.IsNull() {
-				null = true
-				break
-			}
-			kb = schema.AppendValueKey(kb, v)
-		}
+		kb, ok := appendJoinKey(s.kb[:0], probe, s.probeCols)
 		s.kb = kb
-		if null {
+		if !ok {
 			continue
 		}
-		bucket := s.build[string(kb)]
-		if bucket == nil {
-			continue
-		}
-		for _, bi := range *bucket {
+		for _, bi := range s.build.bucket(kb) {
 			l, r := probe, s.buildRows[bi]
 			if s.buildIsLeft {
 				l, r = s.buildRows[bi], probe

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -41,7 +42,11 @@ func (rt *Runtime) execSelect(s *parse.Select) (*relation, error) {
 			return nil, fmt.Errorf("exec: %s operands have %d and %d columns",
 				op.Kind, out.schema.Len(), right.schema.Len())
 		}
-		out = combineSetOp(op, out, right)
+		out, err = combineSetOp(op, out, right)
+		if err != nil {
+			rt.popOp(sp, parent)
+			return nil, err
+		}
 		sp.SetInt("rows", int64(len(out.rows)))
 		rt.popOp(sp, parent)
 	}
@@ -68,71 +73,54 @@ func (rt *Runtime) execSelect(s *parse.Select) (*relation, error) {
 }
 
 // combineSetOp applies one UNION/EXCEPT/INTERSECT step. The non-ALL
-// forms produce distinct rows, per SQL92. All variants stream over the
-// operands with one reused key buffer instead of materializing a
-// concatenated copy first.
-func combineSetOp(op parse.SetOp, left, right *relation) *relation {
+// forms produce distinct rows, per SQL92, in first-seen order. All
+// variants stream over the operands with one reused key buffer instead
+// of materializing a concatenated copy first.
+func combineSetOp(op parse.SetOp, left, right *relation) (*relation, error) {
 	if op.Kind == parse.Union && op.All {
 		rows := make([]schema.Row, 0, len(left.rows)+len(right.rows))
 		rows = append(rows, left.rows...)
 		rows = append(rows, right.rows...)
-		return &relation{schema: left.schema, rows: rows}
+		return &relation{schema: left.schema, rows: rows}, nil
 	}
-	var buf []byte
-	switch op.Kind {
-	case parse.Union:
-		seen := make(map[string]bool, len(left.rows)+len(right.rows))
-		rows := make([]schema.Row, 0, len(left.rows))
-		for _, side := range [][]schema.Row{left.rows, right.rows} {
-			for _, r := range side {
-				buf = r.AppendKey(buf[:0])
-				if seen[string(buf)] {
+	var (
+		buf           []byte
+		seen, inRight keyTable
+		rows          []schema.Row
+	)
+	sides := [][]schema.Row{left.rows, right.rows}
+	if op.Kind != parse.Union {
+		for _, r := range right.rows {
+			buf = r.AppendKey(buf[:0])
+			if _, _, err := inRight.insert(buf); err != nil {
+				return nil, err
+			}
+		}
+		sides = sides[:1]
+	}
+	for _, side := range sides {
+		for _, r := range side {
+			buf = r.AppendKey(buf[:0])
+			switch op.Kind {
+			case parse.Except:
+				if inRight.find(buf) >= 0 {
 					continue
 				}
-				seen[string(buf)] = true
+			case parse.Intersect:
+				if inRight.find(buf) < 0 {
+					continue
+				}
+			}
+			_, added, err := seen.insert(buf)
+			if err != nil {
+				return nil, err
+			}
+			if added {
 				rows = append(rows, r)
 			}
 		}
-		return &relation{schema: left.schema, rows: rows}
-	case parse.Except:
-		inRight := make(map[string]bool, len(right.rows))
-		for _, r := range right.rows {
-			buf = r.AppendKey(buf[:0])
-			if !inRight[string(buf)] {
-				inRight[string(buf)] = true
-			}
-		}
-		var rows []schema.Row
-		seen := make(map[string]bool, len(left.rows))
-		for _, r := range left.rows {
-			buf = r.AppendKey(buf[:0])
-			if seen[string(buf)] || inRight[string(buf)] {
-				continue
-			}
-			seen[string(buf)] = true
-			rows = append(rows, r)
-		}
-		return &relation{schema: left.schema, rows: rows}
-	default: // Intersect
-		inRight := make(map[string]bool, len(right.rows))
-		for _, r := range right.rows {
-			buf = r.AppendKey(buf[:0])
-			if !inRight[string(buf)] {
-				inRight[string(buf)] = true
-			}
-		}
-		var rows []schema.Row
-		seen := make(map[string]bool, len(left.rows))
-		for _, r := range left.rows {
-			buf = r.AppendKey(buf[:0])
-			if seen[string(buf)] || !inRight[string(buf)] {
-				continue
-			}
-			seen[string(buf)] = true
-			rows = append(rows, r)
-		}
-		return &relation{schema: left.schema, rows: rows}
 	}
+	return &relation{schema: left.schema, rows: rows}, nil
 }
 
 // execSelectCore evaluates one query specification (no set operations).
@@ -846,8 +834,12 @@ func (rt *Runtime) filter(rel *relation, cond parse.Expr) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]schema.Row, 0, len(rel.rows))
-	for _, row := range rel.rows {
+	// Mark the matches in a bitset, then copy them into an exactly sized
+	// slice: a selective filter over a big table, such as a point read,
+	// would otherwise allocate a row slice as long as its input.
+	match := make([]uint64, (len(rel.rows)+63)/64)
+	n := 0
+	for i, row := range rel.rows {
 		if err := rt.poll(); err != nil {
 			return nil, err
 		}
@@ -860,7 +852,14 @@ func (rt *Runtime) filter(rel *relation, cond parse.Expr) (*relation, error) {
 			return nil, err
 		}
 		if t == value.True {
-			out = append(out, row)
+			match[i/64] |= 1 << (i % 64)
+			n++
+		}
+	}
+	out := make([]schema.Row, 0, n)
+	for w, m := range match {
+		for ; m != 0; m &= m - 1 {
+			out = append(out, rel.rows[w*64+bits.TrailingZeros64(m)])
 		}
 	}
 	rt.tracef("filter %s: %d -> %d row(s)", cond.SQL(), len(rel.rows), len(out))

@@ -41,7 +41,7 @@ func (v Value) AppendBinary(dst []byte) []byte {
 	case TypeInt:
 		return binary.AppendVarint(append(dst, binInt), v.i)
 	case TypeFloat:
-		return binary.LittleEndian.AppendUint64(append(dst, binFloat), math.Float64bits(v.f))
+		return binary.LittleEndian.AppendUint64(append(dst, binFloat), uint64(v.i))
 	case TypeString:
 		dst = binary.AppendUvarint(append(dst, binStr), uint64(len(v.s)))
 		return append(dst, v.s...)

@@ -53,11 +53,15 @@ func (t Type) String() string {
 func (t Type) Numeric() bool { return t == TypeInt || t == TypeFloat }
 
 // Value is a single SQL scalar. The zero Value is NULL.
+//
+// A FLOAT keeps its IEEE-754 bits in i, so a Value is 32 bytes rather
+// than 40: rows, batches and join outputs are slices of Values, and
+// every copy of one moves a fifth less memory. Only this file and
+// codec.go read the fields.
 type Value struct {
+	s   string // TypeString
+	i   int64  // TypeInt, TypeBool (0/1), TypeDate (days since epoch), TypeFloat (bits)
 	typ Type
-	i   int64   // TypeInt, TypeBool (0/1), TypeDate (days since epoch)
-	f   float64 // TypeFloat
-	s   string  // TypeString
 }
 
 // Null is the SQL NULL value.
@@ -76,7 +80,7 @@ func NewBool(b bool) Value {
 func NewInt(i int64) Value { return Value{typ: TypeInt, i: i} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{typ: TypeFloat, f: f} }
+func NewFloat(f float64) Value { return Value{typ: TypeFloat, i: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{typ: TypeString, s: s} }
@@ -90,6 +94,9 @@ func NewDate(year int, month time.Month, day int) Value {
 // NewDateFromDays returns a DATE value from a count of days since the
 // Unix epoch. It is the inverse of Value.Days.
 func NewDateFromDays(days int64) Value { return Value{typ: TypeDate, i: days} }
+
+// f returns a FLOAT's content; callers check the type first.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Type returns the value's type. NULL values report TypeNull.
 func (v Value) Type() Type { return v.typ }
@@ -133,7 +140,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.typ {
 	case TypeFloat:
-		return v.f
+		return v.f()
 	case TypeInt:
 		return float64(v.i)
 	default:
@@ -178,7 +185,7 @@ func (v Value) String() string {
 	case TypeInt:
 		return strconv.FormatInt(v.i, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeString:
 		return v.s
 	case TypeDate:
@@ -198,7 +205,7 @@ func (v Value) SQL() string {
 	case TypeDate:
 		return "DATE '" + v.Time().Format("2006-01-02") + "'"
 	case TypeFloat:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		s := strconv.FormatFloat(v.f(), 'g', -1, 64)
 		if !strings.ContainsAny(s, ".eE") {
 			s += ".0"
 		}
@@ -327,7 +334,7 @@ func (v Value) AppendKey(dst []byte) []byte {
 		// key through the same float64 canonicalization.
 		return appendFloatKey(dst, float64(v.i))
 	case TypeFloat:
-		return appendFloatKey(dst, v.f)
+		return appendFloatKey(dst, v.f())
 	case TypeString:
 		return append(append(dst, 's'), v.s...)
 	case TypeDate:
@@ -420,7 +427,7 @@ func Neg(a Value) (Value, error) {
 	case TypeInt:
 		return NewInt(-a.i), nil
 	case TypeFloat:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.f()), nil
 	default:
 		return Null, fmt.Errorf("value: unary minus on %s", a.typ)
 	}
@@ -440,7 +447,7 @@ func Coerce(v Value, t Type) (Value, error) {
 		}
 	case TypeInt:
 		if v.typ == TypeFloat {
-			return NewInt(int64(v.f)), nil
+			return NewInt(int64(v.f())), nil
 		}
 	case TypeDate:
 		if v.typ == TypeString {
