@@ -6,7 +6,9 @@
 //	minerule-bench -json            # write BENCH_baseline.json
 //	minerule-bench -json -out FILE  # write the baseline elsewhere
 //	minerule-bench -check           # re-measure and gate vs the baseline
-//	minerule-bench -check -tol 0.2  # with a custom tolerance (+20%)
+//	minerule-bench -check -tol 0.2  # with a custom ns/op tolerance (+20%)
+//
+// -check gates allocs/op too, at the fixed bound bench.AllocTol (+2%).
 package main
 
 import (
@@ -24,7 +26,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "measure the regression baseline and write it as JSON")
 	out := flag.String("out", "BENCH_baseline.json", "baseline path (written by -json, read by -check)")
 	trace := flag.Bool("trace", false, "run the paper statement once and print its kernel span tree")
-	check := flag.Bool("check", false, "re-measure the baseline workloads and fail on ns/op regressions")
+	check := flag.Bool("check", false, "re-measure the baseline workloads and fail on ns/op or allocs/op regressions")
 	tol := flag.Float64("tol", 0.15, "relative ns/op growth tolerated by -check (0.15 = +15%)")
 	flag.Parse()
 

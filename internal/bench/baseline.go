@@ -111,11 +111,19 @@ func minerBenchInput(groups, items, avg int, seed int64) *mining.SimpleInput {
 	return mining.NewSimpleInput(byGroup, groups)
 }
 
+// AllocTol is the relative allocs/op growth CheckBaseline tolerates.
+// Unlike ns/op, allocation counts do not depend on how fast the runner
+// is, so the bound is fixed here instead of following -tol; the slack
+// covers what does vary between runs (sync.Pool refills after a GC,
+// the parallel miners' scheduling).
+const AllocTol = 0.02
+
 // CheckBaseline re-measures the regression-tracked workloads and diffs
 // them against the committed baseline read from r, writing a per-entry
 // comparison table to w. A workload whose ns/op grows by more than tol
-// (relative, e.g. 0.15 for +15%) is a regression; the returned error
-// lists every one. Workloads added since the baseline was recorded are
+// (relative, e.g. 0.15 for +15%), or whose allocs/op grows by more than
+// AllocTol, is a regression; the returned error lists every one.
+// Workloads added since the baseline was recorded are
 // reported but never fail the check — regenerating the baseline picks
 // them up.
 func CheckBaseline(r io.Reader, w io.Writer, tol float64) error {
@@ -138,29 +146,42 @@ func diffBaseline(recorded, current []BaselineEntry, w io.Writer, tol float64) e
 		base[e.Name] = e
 	}
 	var regressed []string
-	fmt.Fprintf(w, "%-36s %14s %14s %8s\n", "workload", "baseline ns/op", "current ns/op", "delta")
+	fmt.Fprintf(w, "%-36s %14s %14s %8s %10s %10s %8s\n",
+		"workload", "baseline ns/op", "current ns/op", "delta", "base alloc", "cur alloc", "delta")
 	for _, c := range current {
 		b, ok := base[c.Name]
 		if !ok {
-			fmt.Fprintf(w, "%-36s %14s %14.0f %8s\n", c.Name, "-", c.NsPerOp, "new")
+			fmt.Fprintf(w, "%-36s %14s %14.0f %8s %10s %10d %8s\n", c.Name, "-", c.NsPerOp, "new", "-", c.AllocsPerOp, "new")
 			continue
 		}
 		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp
+		adelta := 0.0
+		if b.AllocsPerOp > 0 {
+			adelta = float64(c.AllocsPerOp-b.AllocsPerOp) / float64(b.AllocsPerOp)
+		} else if c.AllocsPerOp > 0 {
+			adelta = 1
+		}
 		mark := ""
 		if delta > tol {
 			mark = "  REGRESSION"
 			regressed = append(regressed, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%)",
 				c.Name, b.NsPerOp, c.NsPerOp, 100*delta))
 		}
-		fmt.Fprintf(w, "%-36s %14.0f %14.0f %+7.1f%%%s\n", c.Name, b.NsPerOp, c.NsPerOp, 100*delta, mark)
+		if adelta > AllocTol {
+			mark = "  REGRESSION"
+			regressed = append(regressed, fmt.Sprintf("%s: %d -> %d allocs/op (%+.1f%%)",
+				c.Name, b.AllocsPerOp, c.AllocsPerOp, 100*adelta))
+		}
+		fmt.Fprintf(w, "%-36s %14.0f %14.0f %+7.1f%% %10d %10d %+7.1f%%%s\n",
+			c.Name, b.NsPerOp, c.NsPerOp, 100*delta, b.AllocsPerOp, c.AllocsPerOp, 100*adelta, mark)
 		delete(base, c.Name)
 	}
 	for name := range base {
-		fmt.Fprintf(w, "%-36s %14.0f %14s %8s\n", name, base[name].NsPerOp, "-", "gone")
+		fmt.Fprintf(w, "%-36s %14.0f %14s %8s %10d %10s %8s\n", name, base[name].NsPerOp, "-", "gone", base[name].AllocsPerOp, "-", "gone")
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("bench: %d workload(s) regressed beyond %.0f%%:\n  %s",
-			len(regressed), 100*tol, strings.Join(regressed, "\n  "))
+		return fmt.Errorf("bench: %d regression(s) beyond %.0f%% ns/op or %.0f%% allocs/op:\n  %s",
+			len(regressed), 100*tol, 100*AllocTol, strings.Join(regressed, "\n  "))
 	}
 	return nil
 }

@@ -80,26 +80,30 @@ func TestE10DurableSmall(t *testing.T) {
 }
 
 // TestDiffBaseline exercises the -check regression gate's comparison
-// logic: within-tolerance drift passes, beyond-tolerance growth fails,
-// and new/removed workloads are reported without failing the gate.
+// logic: within-tolerance drift passes, beyond-tolerance growth of
+// ns/op or allocs/op fails, and new/removed workloads are reported
+// without failing the gate.
 func TestDiffBaseline(t *testing.T) {
 	recorded := []BaselineEntry{
-		{Name: "steady", NsPerOp: 1000},
-		{Name: "slower", NsPerOp: 1000},
+		{Name: "steady", NsPerOp: 1000, AllocsPerOp: 1000},
+		{Name: "slower", NsPerOp: 1000, AllocsPerOp: 1000},
 		{Name: "gone", NsPerOp: 500},
+		{Name: "allocs", NsPerOp: 1000, AllocsPerOp: 1000},
 	}
 	current := []BaselineEntry{
-		{Name: "steady", NsPerOp: 1100}, // +10%, inside ±15%
-		{Name: "slower", NsPerOp: 1200}, // +20%, regression
+		{Name: "steady", NsPerOp: 1100, AllocsPerOp: 1010}, // +10% ns, +1% allocs: inside both bounds
+		{Name: "slower", NsPerOp: 1200, AllocsPerOp: 1000}, // +20% ns/op, regression
 		{Name: "fresh", NsPerOp: 42},
+		{Name: "allocs", NsPerOp: 900, AllocsPerOp: 1030}, // +3% allocs/op, regression
 	}
 	var buf strings.Builder
 	err := diffBaseline(recorded, current, &buf, 0.15)
 	if err == nil {
 		t.Fatalf("expected regression error, table:\n%s", buf.String())
 	}
-	if !strings.Contains(err.Error(), "slower") || strings.Contains(err.Error(), "steady") {
-		t.Fatalf("error should name only the regressed workload: %v", err)
+	if !strings.Contains(err.Error(), "slower") || !strings.Contains(err.Error(), "allocs: 1000 -> 1030 allocs/op") ||
+		strings.Contains(err.Error(), "steady") {
+		t.Fatalf("error should name exactly the regressed workloads: %v", err)
 	}
 	for _, want := range []string{"REGRESSION", "new", "gone"} {
 		if !strings.Contains(buf.String(), want) {

@@ -28,6 +28,31 @@ type Result struct {
 	// StepDurations records how long each Q-step took, in execution
 	// order, for the phase-split experiments.
 	StepDurations []StepDuration
+	// Sources are the translation's source tables as preprocessing
+	// found them; WriteMeta records them so reuse can tell whether the
+	// encoding still describes the data.
+	Sources []SourceStamp
+}
+
+// SourceStamp is one FROM object and the stamp of its last publication
+// (storage.Table.PublishStamp) taken before any Q-step read it. A view
+// has Stamp -1: the tables under it are not tracked, so an encoding
+// built over a view is never reused.
+type SourceStamp struct {
+	Name  string
+	Stamp int64
+}
+
+// sourceStamps reads the publish stamp of every source of tr.
+func sourceStamps(db *engine.Database, tr *translator.Translation) []SourceStamp {
+	out := make([]SourceStamp, len(tr.Sources))
+	for i, o := range tr.Sources {
+		out[i] = SourceStamp{Name: o.Name, Stamp: -1}
+		if t, ok := db.Catalog().Table(o.Name); ok && o.Kind == "TABLE" {
+			out[i].Stamp = int64(t.PublishStamp())
+		}
+	}
+	return out
 }
 
 // StepDuration is one preprocessing step's wall time, with the number
@@ -49,7 +74,9 @@ func Run(ctx context.Context, db *engine.Database, tr *translator.Translation) (
 	p := &tr.Program
 	DropExisting(db, p.Cleanup...)
 
-	res := &Result{}
+	// Stamped before the first read: a write that lands while the steps
+	// run makes the kept encoding look stale, never current.
+	res := &Result{Sources: sourceStamps(db, tr)}
 	// step runs one Q-step and returns the rows its statements wrote.
 	step := func(name string, sqls []string) (int, error) {
 		if len(sqls) == 0 {
@@ -148,35 +175,47 @@ func DropExisting(db *engine.Database, objs ...translator.Object) {
 	}
 }
 
-// WriteMeta records the preprocessing fingerprint and parameters so a
-// later run of an equivalent statement can reuse the encoded tables
-// (paper §3). Call it after a successful Run when the tables are kept.
+// WriteMeta records the preprocessing fingerprint, parameters and
+// source stamps so a later run of an equivalent statement over
+// unchanged sources can reuse the encoded tables (paper §3). Call it
+// after a successful Run when the tables are kept. The table holds one
+// row per source.
 func WriteMeta(db *engine.Database, tr *translator.Translation, res *Result) error {
 	n := tr.Names.Meta
 	DropExisting(db, translator.Object{Kind: "TABLE", Name: n})
 	if _, err := db.Exec(fmt.Sprintf(
-		"CREATE TABLE %s (fp VARCHAR, totg INTEGER, minsupport FLOAT)", n)); err != nil {
+		"CREATE TABLE %s (fp VARCHAR, totg INTEGER, minsupport FLOAT, src VARCHAR, stamp INTEGER)", n)); err != nil {
 		return err
 	}
 	fp := strings.ReplaceAll(tr.Fingerprint(), "'", "''")
-	_, err := db.Exec(fmt.Sprintf("INSERT INTO %s VALUES ('%s', %d, %g)",
-		n, fp, res.Totg, tr.Stmt.MinSupport))
+	var b strings.Builder
+	fmt.Fprintf(&b, "INSERT INTO %s VALUES ", n)
+	for i, src := range res.Sources {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "('%s', %d, %g, '%s', %d)",
+			fp, res.Totg, tr.Stmt.MinSupport, strings.ReplaceAll(src.Name, "'", "''"), src.Stamp)
+	}
+	_, err := db.Exec(b.String())
 	return err
 }
 
 // TryReuse checks whether a previous KeepEncoded run left compatible
-// encoded tables behind: same fingerprint, and a stored support no
-// higher than the current one (the encoded tables were pruned at the
-// stored support, so they contain everything a stricter threshold
-// needs). On success it recreates only the encoded output tables and
-// returns a Result without running any Q-step.
+// encoded tables behind: same fingerprint, a stored support no higher
+// than the current one (the encoded tables were pruned at the stored
+// support, so they contain everything a stricter threshold needs), and
+// every source table still at the publish stamp it had when that run
+// read it — no row committed since, not dropped and re-created. On
+// success it recreates only the encoded output tables and returns a
+// Result without running any Q-step.
 func TryReuse(db *engine.Database, tr *translator.Translation) (*Result, bool) {
 	n := tr.Names
 	if _, ok := db.Catalog().Table(n.Meta); !ok {
 		return nil, false
 	}
-	rows, err := db.Query("SELECT fp, totg, minsupport FROM " + n.Meta)
-	if err != nil || len(rows.Rows) != 1 {
+	rows, err := db.Query("SELECT fp, totg, minsupport, src, stamp FROM " + n.Meta)
+	if err != nil || len(rows.Rows) == 0 || len(rows.Rows) != len(tr.Sources) {
 		return nil, false
 	}
 	row := rows.Rows[0]
@@ -186,6 +225,16 @@ func TryReuse(db *engine.Database, tr *translator.Translation) (*Result, bool) {
 	storedSupport := row[2].Float()
 	if tr.Stmt.MinSupport < storedSupport {
 		return nil, false // the kept tables were pruned too aggressively
+	}
+	stored := make(map[string]int64, len(rows.Rows))
+	for _, r := range rows.Rows {
+		stored[strings.ToLower(r[3].Str())] = r[4].Int()
+	}
+	for _, src := range sourceStamps(db, tr) {
+		st, ok := stored[strings.ToLower(src.Name)]
+		if !ok || src.Stamp < 0 || st != src.Stamp {
+			return nil, false // the source changed since it was encoded
+		}
 	}
 	// The core's input tables must still exist.
 	needed := []string{n.CodedSource}

@@ -144,6 +144,9 @@ type Translation struct {
 	MineAttrs []string
 	// ClusterAggs are the aggregates of the cluster condition (F).
 	ClusterAggs []clusterAgg
+	// Sources are the FROM tables and views as the dictionary resolved
+	// them, each once, in FROM order.
+	Sources []Object
 
 	Program Program
 }
@@ -166,7 +169,7 @@ func (s attrSet) has(n string) bool { return s[strings.ToLower(n)] }
 func Translate(db *engine.Database, st *ast.Statement) (*Translation, error) {
 	tr := &Translation{Stmt: st, Names: makeNames(st.Output)}
 
-	srcSchema, err := sourceSchema(db, st)
+	srcSchema, sources, err := sourceSchema(db, st)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +275,7 @@ func Translate(db *engine.Database, st *ast.Statement) (*Translation, error) {
 		tr.MineAttrs = mine
 	}
 
+	tr.Sources = sources
 	// The <needed attr list>: group, cluster, body, head, mining and
 	// aggregate attributes, first occurrence wins.
 	tr.NeededAttrs = neededAttrs(srcSchema,
@@ -290,26 +294,35 @@ func Translate(db *engine.Database, st *ast.Statement) (*Translation, error) {
 }
 
 // sourceSchema joins the FROM tables' schemas, applying aliases, exactly
-// as the engine would for the FROM list.
-func sourceSchema(db *engine.Database, st *ast.Statement) (*schema.Schema, error) {
+// as the engine would for the FROM list, and lists the objects the
+// names resolved to.
+func sourceSchema(db *engine.Database, st *ast.Statement) (*schema.Schema, []Object, error) {
 	if len(st.From) == 0 {
-		return nil, fmt.Errorf("translator: empty FROM list")
+		return nil, nil, fmt.Errorf("translator: empty FROM list")
 	}
 	var joined *schema.Schema
+	var sources []Object
+	seen := make(map[string]bool)
 	for _, tref := range st.From {
 		t, ok := db.Catalog().Table(tref.Name)
 		var s *schema.Schema
+		kind := "TABLE"
 		if ok {
 			s = t.Schema()
 		} else if v, vok := db.Catalog().View(tref.Name); vok {
 			// Derive the view schema by planning an empty query on it.
 			res, err := db.Query("SELECT * FROM " + v.Name + " WHERE 1 = 0")
 			if err != nil {
-				return nil, fmt.Errorf("translator: view %s: %w", v.Name, err)
+				return nil, nil, fmt.Errorf("translator: view %s: %w", v.Name, err)
 			}
 			s = res.Schema
+			kind = "VIEW"
 		} else {
-			return nil, fmt.Errorf("translator: unknown table %q in FROM", tref.Name)
+			return nil, nil, fmt.Errorf("translator: unknown table %q in FROM", tref.Name)
+		}
+		if k := strings.ToLower(tref.Name); !seen[k] {
+			seen[k] = true
+			sources = append(sources, Object{Kind: kind, Name: tref.Name})
 		}
 		qual := tref.Alias
 		if qual == "" {
@@ -322,7 +335,7 @@ func sourceSchema(db *engine.Database, st *ast.Statement) (*schema.Schema, error
 			joined = joined.Append(s)
 		}
 	}
-	return joined, nil
+	return joined, sources, nil
 }
 
 func sameAttrSet(a, b []string) bool {

@@ -37,6 +37,11 @@ type Metrics struct {
 	StmtCacheMisses    Counter
 	StmtCacheEvictions Counter
 
+	// Prepare-time semantic checks: full checker runs, and cached
+	// verdicts revalidated by replaying their dictionary reads.
+	SemckChecks       Counter
+	SemckVerdictReuse Counter
+
 	// Executor view-plan cache (catalog-version keyed).
 	ViewPlanHits   Counter
 	ViewPlanMisses Counter
@@ -133,6 +138,8 @@ var metricDescs = []metricDesc{
 	{"minerule_stmtcache_hits_total", "prepared-program cache hits", func(m *Metrics) int64 { return m.StmtCacheHits.Load() }},
 	{"minerule_stmtcache_misses_total", "prepared-program cache misses", func(m *Metrics) int64 { return m.StmtCacheMisses.Load() }},
 	{"minerule_stmtcache_evictions_total", "prepared-program cache entries evicted (clock second-chance)", func(m *Metrics) int64 { return m.StmtCacheEvictions.Load() }},
+	{"minerule_semck_checks_total", "full prepare-time semantic checks run", func(m *Metrics) int64 { return m.SemckChecks.Load() }},
+	{"minerule_semck_verdict_reuse_total", "cached semantic verdicts revalidated by replaying their dictionary reads", func(m *Metrics) int64 { return m.SemckVerdictReuse.Load() }},
 	{"minerule_viewplan_hits_total", "executor view-plan cache hits", func(m *Metrics) int64 { return m.ViewPlanHits.Load() }},
 	{"minerule_viewplan_misses_total", "executor view-plan cache misses", func(m *Metrics) int64 { return m.ViewPlanMisses.Load() }},
 	{"minerule_rows_scanned_total", "rows materialized from base-table scans", func(m *Metrics) int64 { return m.RowsScanned.Load() }},

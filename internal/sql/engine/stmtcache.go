@@ -77,33 +77,37 @@ func (c *clockCache[V]) put(k string, v V, limit int) bool {
 }
 
 // prepared is one cached program: the parsed statement(s) plus the
-// result of the prepare-time semantic check, keyed by the catalog
-// version the check ran against. A statement executes under a
-// transaction snapshot, so the verdict is validated against the
-// snapshot's catalog version (txn.Txn.CatalogVersion) — a prepared
-// program racing concurrent DDL rechecks against exactly the dictionary
-// state its own statement will bind against, never a newer one. A hit
-// at the same version reuses the verdict without touching the
-// dictionary. err carries the statements themselves untouched — the
-// engine still hands the parsed form out on a failed check so EXPLAIN
-// can report the diagnostic as its plan.
-// The verdict fields (checked/ver/err) are accessed only under the
-// owning stmtCache's mu; st and sts are immutable once cached.
+// result of the prepare-time semantic check, stamped with the catalog
+// version it was last known valid at and the dictionary reads it was
+// computed from. A statement executes under a transaction snapshot, so
+// the verdict is validated against the snapshot's catalog (txn.Txn) —
+// a prepared program racing concurrent DDL rechecks against exactly the
+// dictionary state its own statement will bind against, never a newer
+// one. A hit at the same version reuses the verdict without touching
+// the dictionary; at another version, replaying the read set decides
+// whether the verdict still holds (see verdict). err carries the
+// statements themselves untouched — the engine still hands the parsed
+// form out on a failed check so EXPLAIN can report the diagnostic as
+// its plan.
+// The verdict fields (checked/ver/err/reads) are accessed only under
+// the owning stmtCache's mu; st, sts and a published reads value are
+// immutable.
 type prepared struct {
 	st      parse.Statement
 	sts     []parse.Statement // script form
 	checked bool              // ver/err valid
 	ver     uint64
 	err     error
+	reads   *semck.ReadSet // what the check behind err looked up; nil for scripts
 }
 
 // stmtCache is the engine's prepared-program cache: statement text →
 // parsed form plus semantic verdict, so each distinct text is parsed
-// once and semantically checked once per catalog version, then
-// re-executed many times. Name resolution still happens at bind time
-// inside the executor on every execution, so a cached program can never
-// observe a stale catalog; the version stamp only guards the cached
-// semck verdict. (Catalog-dependent plan state, like resolved view
+// once and semantically checked once per set of dictionary answers it
+// depends on, then re-executed many times. Name resolution still
+// happens at bind time inside the executor on every execution, so a
+// cached program can never observe a stale catalog; the version stamp
+// and read set only guard the cached semck verdict. (Catalog-dependent plan state, like resolved view
 // bodies, is cached in the executor keyed by storage.Catalog.Version.)
 type stmtCache struct {
 	mu        sync.Mutex
@@ -163,12 +167,16 @@ func (db *Database) parseStmt(sql string) (*prepared, error) {
 }
 
 // verdict returns the prepare-time semantic verdict for p as of catalog
-// version ver, rechecking against scat — the executing statement's view
-// of the dictionary (its transaction snapshot, or the live catalog for
-// Prepare) — when the cached verdict was stamped under a different
-// version. Catalog versions identify dictionary states exactly (every
-// DDL publish advances the version), so a hit at the same version is
-// sound no matter which snapshot produced it.
+// version ver; scat is the executing statement's view of the dictionary
+// (its transaction snapshot, or the live catalog for Prepare). Catalog
+// versions identify dictionary states exactly (every DDL publish
+// advances the version), so a hit at the same version is sound no
+// matter which snapshot produced it. On a version miss the stored read
+// set is replayed against scat: semck sees the dictionary only through
+// semck.Catalog, so equal answers mean an equal verdict, and the
+// verdict is re-stamped without a check. Only when an answer differs —
+// a table re-created with another shape, a dropped sequence — does the
+// checker run again, recording a new read set.
 func (db *Database) verdict(p *prepared, src string, scat semck.Catalog, ver uint64) error {
 	c := &db.cache
 	c.mu.Lock()
@@ -177,10 +185,23 @@ func (db *Database) verdict(p *prepared, src string, scat semck.Catalog, ver uin
 		c.mu.Unlock()
 		return err
 	}
+	reads, err := p.reads, p.err
 	c.mu.Unlock()
-	err := semck.Check(scat, p.st, src)
+	if reads != nil && reads.Holds(scat) {
+		db.met.SemckVerdictReuse.Inc()
+		c.mu.Lock()
+		// A concurrent full check may have replaced the read set; its
+		// verdict is stamped with its own version, so leave it be.
+		if p.reads == reads {
+			p.ver = ver
+		}
+		c.mu.Unlock()
+		return err
+	}
+	db.met.SemckChecks.Inc()
+	reads, err = semck.CheckRecorded(scat, p.st, src)
 	c.mu.Lock()
-	p.checked, p.ver, p.err = true, ver, err
+	p.checked, p.ver, p.err, p.reads = true, ver, err, reads
 	c.mu.Unlock()
 	return err
 }
@@ -192,6 +213,7 @@ func (db *Database) verdict(p *prepared, src string, scat semck.Catalog, ver uin
 func (db *Database) checkScript(sts []parse.Statement, src string) error {
 	ov := semck.NewOverlay(semck.FromStorage(db.cat))
 	for _, st := range sts {
+		db.met.SemckChecks.Inc()
 		if err := semck.Check(ov, st, src); err != nil {
 			return err
 		}

@@ -258,8 +258,11 @@ func TestPrepareDDLRace(t *testing.T) {
 				return
 			default:
 			}
+			// Two identical re-creates in a row, then a different
+			// shape: cached verdicts are replayed across the first kind
+			// of DDL and must be rechecked across the second.
 			ddl := `DROP TABLE t; CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1);`
-			if i%2 == 1 {
+			if i%3 == 2 {
 				ddl = `DROP TABLE t; CREATE TABLE t (b INTEGER); INSERT INTO t VALUES (2);`
 			}
 			if err := db.ExecScript(ddl); err != nil {
@@ -278,6 +281,36 @@ func TestPrepareDDLRace(t *testing.T) {
 		msg := se.Error()
 		return strings.Contains(msg, "unknown column") || strings.Contains(msg, "unknown table")
 	}
+	// A second reader replays verdicts against a pinned snapshot while
+	// the live catalog moves on.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c := db.Conn()
+		defer c.Close()
+		for i := 0; i < 100; i++ {
+			if _, err := c.Exec("BEGIN"); err != nil {
+				t.Errorf("BEGIN: %v", err)
+				return
+			}
+			for j := 0; j < 3; j++ {
+				res, err := c.Exec("SELECT a FROM t")
+				if err != nil {
+					if !churnErr(err) {
+						t.Errorf("snapshot query during DDL churn: %v", err)
+					}
+					continue
+				}
+				if got := res.Schema.Col(0).Name; got != "a" {
+					t.Errorf("stale snapshot verdict returned column %q, want a", got)
+				}
+			}
+			if _, err := c.Exec("COMMIT"); err != nil {
+				t.Errorf("COMMIT: %v", err)
+				return
+			}
+		}
+	}()
 	for i := 0; i < 200; i++ {
 		const q = "SELECT a FROM t"
 		if err := db.Prepare(q); err != nil && !churnErr(err) {

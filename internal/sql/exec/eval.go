@@ -50,18 +50,19 @@ func (b *binding) compile(e parse.Expr) (evalFunc, error) {
 		return func(schema.Row) (value.Value, error) { return v, nil }, nil
 
 	case *parse.ColumnRef:
-		idx, err := b.schema.Resolve(x.Qual, x.Name)
-		if err != nil {
+		idx := b.schema.Lookup(x.Qual, x.Name)
+		if idx < 0 {
 			// Correlated reference: fall back to the enclosing query's
 			// row, innermost scope first.
 			for o := b.outer; o != nil; o = o.parent {
-				if oidx, oerr := o.schema.Resolve(x.Qual, x.Name); oerr == nil {
+				if oidx := o.schema.Lookup(x.Qual, x.Name); oidx >= 0 {
 					holder := o.row
 					return func(schema.Row) (value.Value, error) {
 						return (*holder)[oidx], nil
 					}, nil
 				}
 			}
+			_, err := b.schema.Resolve(x.Qual, x.Name)
 			return nil, &PosError{Err: err, Off: x.Pos}
 		}
 		return func(row schema.Row) (value.Value, error) { return row[idx], nil }, nil

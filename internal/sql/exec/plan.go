@@ -210,7 +210,7 @@ func joinEdges(elems []fromElem, conjuncts []parse.Expr, used []bool) []joinEdge
 	resolve := func(cr *parse.ColumnRef) (int, int, bool) {
 		elem, ord := -1, -1
 		for i, e := range elems {
-			if o, err := e.rel.schema.Resolve(cr.Qual, cr.Name); err == nil {
+			if o := e.rel.schema.Lookup(cr.Qual, cr.Name); o >= 0 {
 				if elem >= 0 {
 					return -1, -1, false
 				}

@@ -588,15 +588,15 @@ func (rt *Runtime) explicitJoin(left, right *relation, j parse.JoinClause) (*rel
 			lc, lok := be.L.(*parse.ColumnRef)
 			rc, rok := be.R.(*parse.ColumnRef)
 			if lok && rok {
-				if li, err := left.schema.Resolve(lc.Qual, lc.Name); err == nil {
-					if ri, err := right.schema.Resolve(rc.Qual, rc.Name); err == nil &&
+				if li := left.schema.Lookup(lc.Qual, lc.Name); li >= 0 {
+					if ri := right.schema.Lookup(rc.Qual, rc.Name); ri >= 0 &&
 						!right.schema.Has(lc.Qual, lc.Name) && !left.schema.Has(rc.Qual, rc.Name) {
 						keys = append(keys, keyPair{li, ri})
 						continue
 					}
 				}
-				if li, err := left.schema.Resolve(rc.Qual, rc.Name); err == nil {
-					if ri, err := right.schema.Resolve(lc.Qual, lc.Name); err == nil &&
+				if li := left.schema.Lookup(rc.Qual, rc.Name); li >= 0 {
+					if ri := right.schema.Lookup(lc.Qual, lc.Name); ri >= 0 &&
 						!right.schema.Has(rc.Qual, rc.Name) && !left.schema.Has(lc.Qual, lc.Name) {
 						keys = append(keys, keyPair{li, ri})
 						continue
@@ -889,17 +889,17 @@ func equiJoinKeys(cur, right *relation, conjuncts []parse.Expr, used []bool) []k
 		if !lok || !rok {
 			continue
 		}
-		li, lerr := cur.schema.Resolve(lc.Qual, lc.Name)
-		ri, rerr := right.schema.Resolve(rc.Qual, rc.Name)
-		if lerr == nil && rerr == nil && !right.schema.Has(lc.Qual, lc.Name) && !cur.schema.Has(rc.Qual, rc.Name) {
+		li := cur.schema.Lookup(lc.Qual, lc.Name)
+		ri := right.schema.Lookup(rc.Qual, rc.Name)
+		if li >= 0 && ri >= 0 && !right.schema.Has(lc.Qual, lc.Name) && !cur.schema.Has(rc.Qual, rc.Name) {
 			keys = append(keys, keyPair{li, ri})
 			used[i] = true
 			continue
 		}
 		// Try the flipped orientation.
-		li2, lerr2 := cur.schema.Resolve(rc.Qual, rc.Name)
-		ri2, rerr2 := right.schema.Resolve(lc.Qual, lc.Name)
-		if lerr2 == nil && rerr2 == nil && !right.schema.Has(rc.Qual, rc.Name) && !cur.schema.Has(lc.Qual, lc.Name) {
+		li2 := cur.schema.Lookup(rc.Qual, rc.Name)
+		ri2 := right.schema.Lookup(lc.Qual, lc.Name)
+		if li2 >= 0 && ri2 >= 0 && !right.schema.Has(rc.Qual, rc.Name) && !cur.schema.Has(lc.Qual, lc.Name) {
 			keys = append(keys, keyPair{li2, ri2})
 			used[i] = true
 		}

@@ -7,6 +7,7 @@ package schema
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"minerule/internal/sql/value"
 )
@@ -77,36 +78,111 @@ func (s *Schema) AddColumn(qual string, c Column) *Schema {
 	return n
 }
 
-// Resolve finds the column referenced by (qual, name); qual may be empty
-// for an unqualified reference. It returns the ordinal, or an error when
-// the reference is unknown or ambiguous. Matching is case-insensitive,
-// following SQL identifier rules.
-func (s *Schema) Resolve(qual, name string) (int, error) {
-	q := strings.ToLower(qual)
-	n := strings.ToLower(name)
-	found := -1
-	for i, c := range s.cols {
-		if strings.ToLower(c.Name) != n {
+// Lookup results that are not column ordinals.
+const (
+	NotFound  = -1 // no column matches the reference
+	Ambiguous = -2 // more than one column matches the reference
+)
+
+// Lookup finds the column referenced by (qual, name) like Resolve, but
+// reports a failed lookup as NotFound or Ambiguous instead of an error,
+// so probing callers — correlated-scope fallback, join-key detection —
+// allocate nothing on a miss.
+func (s *Schema) Lookup(qual, name string) int {
+	found := NotFound
+	for i := range s.cols {
+		if !FoldEqual(s.cols[i].Name, name) {
 			continue
 		}
-		if q != "" && s.quals[i] != q {
+		// quals are stored lower-cased; ToLower is idempotent, so
+		// folding them again changes nothing.
+		if qual != "" && !FoldEqual(s.quals[i], qual) {
 			continue
 		}
 		if found >= 0 {
-			return 0, fmt.Errorf("schema: ambiguous column reference %q", ref(qual, name))
+			return Ambiguous
 		}
 		found = i
 	}
-	if found < 0 {
-		return 0, fmt.Errorf("schema: unknown column %q", ref(qual, name))
+	return found
+}
+
+// Resolve finds the column referenced by (qual, name); qual may be empty
+// for an unqualified reference. It returns the ordinal, or a
+// *ResolveError when the reference is unknown or ambiguous. Matching is
+// case-insensitive, following SQL identifier rules.
+func (s *Schema) Resolve(qual, name string) (int, error) {
+	i := s.Lookup(qual, name)
+	if i < 0 {
+		return 0, &ResolveError{Qual: qual, Name: name, Ambiguous: i == Ambiguous}
 	}
-	return found, nil
+	return i, nil
 }
 
 // Has reports whether (qual, name) resolves to exactly one column.
-func (s *Schema) Has(qual, name string) bool {
-	_, err := s.Resolve(qual, name)
-	return err == nil
+func (s *Schema) Has(qual, name string) bool { return s.Lookup(qual, name) >= 0 }
+
+// ResolveError is Resolve's failure: the reference as written and
+// whether it matched no column or several. Its text is built only when
+// Error is called.
+type ResolveError struct {
+	Qual, Name string
+	Ambiguous  bool
+}
+
+func (e *ResolveError) Error() string {
+	if e.Ambiguous {
+		return fmt.Sprintf("schema: ambiguous column reference %q", ref(e.Qual, e.Name))
+	}
+	return fmt.Sprintf("schema: unknown column %q", ref(e.Qual, e.Name))
+}
+
+// FoldEqual reports whether strings.ToLower(a) == strings.ToLower(b) —
+// the identifier rule the catalog's keys and the lock table use — without
+// allocating when the strings are ASCII. It is deliberately not
+// strings.EqualFold, which folds some delimited identifiers ("İ") that
+// ToLower keeps distinct.
+func FoldEqual(a, b string) bool {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= utf8.RuneSelf {
+			// ToLower maps rune by rune, and the prefixes are ASCII, so
+			// only the tails can still differ.
+			return strings.ToLower(a[i:]) == strings.ToLower(b[i:])
+		}
+		if ca != cb && lowerASCII(ca) != lowerASCII(cb) {
+			return false
+		}
+	}
+	// An ASCII prefix of the other string: ToLower never maps a
+	// non-empty tail to nothing, so equal folds need equal lengths.
+	return len(a) == len(b)
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
+}
+
+// Equal reports whether two schemas have the same columns — names,
+// types and qualifiers, in order. It compares content, so a table
+// dropped and re-created with the same definition has an Equal schema.
+func Equal(a, b *Schema) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil || len(a.cols) != len(b.cols) {
+		return false
+	}
+	for i := range a.cols {
+		if a.cols[i] != b.cols[i] || a.quals[i] != b.quals[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func ref(qual, name string) string {

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -126,5 +127,85 @@ func TestRowCloneAndProject(t *testing.T) {
 	p := r.Project([]int{2, 0})
 	if len(p) != 2 || p[0].Int() != 3 || p[1].Int() != 1 {
 		t.Errorf("Project = %v", p)
+	}
+}
+
+// FuzzSchemaFold: the comparison Resolve uses is exactly equality under
+// strings.ToLower — the catalog's key rule — on arbitrary bytes,
+// including invalid UTF-8 and runes that strings.EqualFold would fold.
+func FuzzSchemaFold(f *testing.F) {
+	for _, s := range [][2]string{
+		{"a", "A"}, {"mr_gid", "MR_GID"}, {"abc", "abd"}, {"ab", "abc"},
+		{"İ", "i"}, {"İ", "i̇"}, {"K", "k"}, {"ß", "SS"}, {"\xff", "\xfe"},
+		{"x\xffy", "X\xffY"}, {"ΣΑΣ", "σας"}, {"", ""},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		want := strings.ToLower(a) == strings.ToLower(b)
+		if got := FoldEqual(a, b); got != want {
+			t.Fatalf("FoldEqual(%q, %q) = %v, want %v", a, b, got, want)
+		}
+		// Lookup compares stored, already lower-cased qualifiers.
+		if got := FoldEqual(strings.ToLower(a), b); got != want {
+			t.Fatalf("FoldEqual(ToLower(%q), %q) = %v, want %v", a, b, got, want)
+		}
+		s := New(a, Column{Name: a, Type: value.TypeInt})
+		if got := s.Lookup(b, b) == 0; got != want {
+			t.Fatalf("Lookup(%q, %q) on column %q found=%v, want %v", b, b, a, got, want)
+		}
+	})
+}
+
+// TestResolveErrorText pins the two resolution diagnostics byte for
+// byte: semck rewraps them and FuzzSemCheck matches on them.
+func TestResolveErrorText(t *testing.T) {
+	j := twoCol().Append(New("u", Column{Name: "a", Type: value.TypeInt}))
+	for _, c := range []struct {
+		qual, name, want string
+		code             int
+	}{
+		{"", "zz", `schema: unknown column "zz"`, NotFound},
+		{"t", "Zz", `schema: unknown column "t.Zz"`, NotFound},
+		{"", "A", `schema: ambiguous column reference "A"`, Ambiguous},
+	} {
+		if got := j.Lookup(c.qual, c.name); got != c.code {
+			t.Errorf("Lookup(%q, %q) = %d, want %d", c.qual, c.name, got, c.code)
+		}
+		_, err := j.Resolve(c.qual, c.name)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Resolve(%q, %q) error = %v, want %s", c.qual, c.name, err, c.want)
+		}
+	}
+}
+
+func TestLookupAllocationFree(t *testing.T) {
+	s := twoCol().Append(New("u", Column{Name: "a", Type: value.TypeInt}))
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Lookup("T", "A")
+		s.Lookup("", "a")
+		s.Lookup("", "missing")
+		s.Has("U", "a")
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup allocates %.1f times per probe set", allocs)
+	}
+}
+
+func TestEqual(t *testing.T) {
+	if !Equal(twoCol(), twoCol()) {
+		t.Error("identical schemas differ")
+	}
+	for _, o := range []*Schema{
+		twoCol().WithQualifier("u"),
+		New("t", Column{Name: "a", Type: value.TypeInt}, Column{Name: "c", Type: value.TypeString}),
+		New("t", Column{Name: "a", Type: value.TypeInt}, Column{Name: "b", Type: value.TypeInt}),
+		New("t", Column{Name: "A", Type: value.TypeInt}, Column{Name: "b", Type: value.TypeString}),
+		New("t", Column{Name: "a", Type: value.TypeInt}),
+		nil,
+	} {
+		if Equal(twoCol(), o) {
+			t.Errorf("Equal(%v, %v) = true", twoCol(), o)
+		}
 	}
 }

@@ -17,15 +17,15 @@ func colN(n int) string { return fmt.Sprintf("COL%d", n) }
 // schema every outer level is tried, and the primary error is reported
 // when none matches.
 func (c *checker) resolveRef(sc *scope, x *parse.ColumnRef) (value.Type, *Error) {
-	idx, err := sc.s.Resolve(x.Qual, x.Name)
-	if err == nil {
+	if idx := sc.s.Lookup(x.Qual, x.Name); idx >= 0 {
 		return sc.s.Col(idx).Type, nil
 	}
 	for o := sc.outer; o != nil; o = o.outer {
-		if oidx, oerr := o.s.Resolve(x.Qual, x.Name); oerr == nil {
+		if oidx := o.s.Lookup(x.Qual, x.Name); oidx >= 0 {
 			return o.s.Col(oidx).Type, nil
 		}
 	}
+	_, err := sc.s.Resolve(x.Qual, x.Name)
 	return value.TypeNull, c.schemaErr(x.Pos, err)
 }
 

@@ -289,15 +289,11 @@ func isEquiJoin(e parse.Expr, left, right *schema.Schema) bool {
 	if !lok || !rok {
 		return false
 	}
-	resolves := func(s *schema.Schema, cr *parse.ColumnRef) bool {
-		_, err := s.Resolve(cr.Qual, cr.Name)
-		return err == nil
-	}
-	if resolves(left, lc) && resolves(right, rc) &&
+	if left.Has(lc.Qual, lc.Name) && right.Has(rc.Qual, rc.Name) &&
 		!right.Has(lc.Qual, lc.Name) && !left.Has(rc.Qual, rc.Name) {
 		return true
 	}
-	if resolves(left, rc) && resolves(right, lc) &&
+	if left.Has(rc.Qual, rc.Name) && right.Has(lc.Qual, lc.Name) &&
 		!right.Has(rc.Qual, rc.Name) && !left.Has(lc.Qual, lc.Name) {
 		return true
 	}

@@ -179,6 +179,21 @@ func (t *Table) LookupAt(ix *Index, key string, stamp uint64) []schema.Row {
 	return out
 }
 
+// PublishStamp returns the stamp of the table's last publication: the
+// later of its CREATE TABLE and its newest committed row batch or
+// rewrite. Anything derived from the table's rows at stamp S is still
+// current exactly when PublishStamp is unchanged since S; a table
+// dropped and re-created under the same name has a newer one.
+func (t *Table) PublishStamp() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	s := t.created
+	if n := len(t.bounds); n > 0 && t.bounds[n-1].stamp > s {
+		s = t.bounds[n-1].stamp
+	}
+	return s
+}
+
 // PublishAppend makes a committed batch visible at stamp: the rows are
 // appended to the current generation with a new visibility boundary.
 // It and PublishReplace are the only ways rows change. The caller is a
@@ -252,17 +267,38 @@ func pruneBounds(bounds []rowBound, lwm uint64) []rowBound {
 // ---------------------------------------------------------------------------
 // Catalog name-map history
 
-// catPast is one superseded catalog state: the name maps as they were
-// until stamp, retained so snapshot readers older than stamp resolve
-// names against the dictionary they began under.
-type catPast struct {
-	stamp uint64 // the DDL stamp at which this state stopped being current
-	ver   uint64 // catalog version of this state (cache keys)
-	tabs  map[string]*Table
-	vws   map[string]*View
-	seqs  map[string]*Sequence
-	idxs  map[string]string
+// catRec is the history record of one DDL: its stamp, the catalog
+// version before it, and the bindings it replaced. A snapshot older
+// than stamp resolves a name through the first record after the
+// snapshot that touched that name, or through the live maps when none
+// did; so each DDL preserves only the keys it changes, never the whole
+// dictionary.
+type catRec struct {
+	stamp   uint64 // the DDL's stamp: states before it are older
+	ver     uint64 // catalog version before the DDL (cache keys)
+	changes []catChange
 }
+
+// catChange is one key's binding before a DDL. Exactly one of the
+// object fields matches kind; a nil object (or empty owner) means the
+// key was unbound.
+type catChange struct {
+	kind  objKind
+	key   string
+	tab   *Table
+	view  *View
+	seq   *Sequence
+	owner string // index owner's table key
+}
+
+type objKind uint8
+
+const (
+	kindTable objKind = iota
+	kindView
+	kindSeq
+	kindIndex
+)
 
 // Stamps exposes the catalog's commit-stamp clock.
 func (c *Catalog) Stamps() *StampClock { return &c.stamps }
@@ -278,17 +314,17 @@ func (c *Catalog) LockPublish() { c.pubMu.Lock() }
 func (c *Catalog) UnlockPublish() { c.pubMu.Unlock() }
 
 // EnableHistory turns on name-map versioning: from now on every DDL
-// preserves the prior maps for snapshot readers. The transaction
-// manager enables it once at attach; recovery replay (which runs with
-// no readers) stays free of per-DDL map copies.
+// records the bindings it replaces for snapshot readers. The
+// transaction manager enables it once at attach; recovery replay
+// (which runs with no readers) records nothing.
 func (c *Catalog) EnableHistory() {
 	c.mu.Lock()
 	c.history = true
 	c.mu.Unlock()
 }
 
-// PruneHistory drops catalog states no snapshot at or past lwm can
-// reach. The transaction manager calls it as snapshots retire.
+// PruneHistory drops DDL records no snapshot at or past lwm can reach.
+// The transaction manager calls it as snapshots retire.
 func (c *Catalog) PruneHistory(lwm uint64) {
 	c.mu.Lock()
 	drop := 0
@@ -296,64 +332,58 @@ func (c *Catalog) PruneHistory(lwm uint64) {
 		drop++
 	}
 	// As in pruneLocked: the vacated tail must not keep dropped tables
-	// reachable through stale name maps.
+	// reachable through stale records.
 	c.past = slices.Delete(c.past, 0, drop)
 	c.mu.Unlock()
 }
 
 // ddlStampLocked allocates the stamp for one DDL mutation and, with
-// history on, preserves the current name maps for older snapshots. It
-// must run after the journal accepted the mutation and before any map
-// is touched. Caller holds pubMu and c.mu; the caller advances the
-// watermark with SetVisible(stamp) after its mutation is applied.
-func (c *Catalog) ddlStampLocked() uint64 {
+// history on, records the prior bindings of the keys it is about to
+// change, so older snapshots keep resolving them. It must run after the
+// journal accepted the mutation and before any map is touched; the
+// caller then mutates the live maps in place. Caller holds pubMu and
+// c.mu; the caller advances the watermark with SetVisible(stamp) after
+// its mutation is applied.
+func (c *Catalog) ddlStampLocked(changes ...catChange) uint64 {
 	stamp := c.stamps.Next(0)
 	if c.history {
-		p := catPast{
-			stamp: stamp,
-			ver:   c.version.Load(),
-			tabs:  make(map[string]*Table, len(c.tabs)),
-			vws:   make(map[string]*View, len(c.vws)),
-			seqs:  make(map[string]*Sequence, len(c.seqs)),
-			idxs:  make(map[string]string, len(c.idxs)),
-		}
-		for k, v := range c.tabs {
-			p.tabs[k] = v
-		}
-		for k, v := range c.vws {
-			p.vws[k] = v
-		}
-		for k, v := range c.seqs {
-			p.seqs[k] = v
-		}
-		for k, v := range c.idxs {
-			p.idxs[k] = v
-		}
-		c.past = append(c.past, p)
+		c.past = append(c.past, catRec{stamp: stamp, ver: c.version.Load(), changes: changes})
 	}
 	return stamp
 }
 
-// pastIdxLocked returns the index of the catalog state visible at
-// stamp, or -1 for the live maps. Caller holds c.mu.
-func (c *Catalog) pastIdxLocked(stamp uint64) int {
+// firstRecLocked returns the index of the first DDL record after stamp
+// (len(c.past) when the snapshot sees the live maps). Caller holds c.mu.
+func (c *Catalog) firstRecLocked(stamp uint64) int {
 	if len(c.past) == 0 || stamp >= c.past[len(c.past)-1].stamp {
-		return -1
+		return len(c.past)
 	}
-	// The first preserved state whose end stamp is past the snapshot is
-	// the state the snapshot ran under.
 	return sort.Search(len(c.past), func(i int) bool { return c.past[i].stamp > stamp })
+}
+
+// priorLocked returns the binding of (kind, k) before the first record
+// after stamp that touched it; found is false when no such record
+// exists and the live binding applies. Caller holds c.mu.
+func (c *Catalog) priorLocked(kind objKind, k string, stamp uint64) (ch *catChange, found bool) {
+	for i := c.firstRecLocked(stamp); i < len(c.past); i++ {
+		for j := range c.past[i].changes {
+			if ch := &c.past[i].changes[j]; ch.kind == kind && ch.key == k {
+				return ch, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // TableAt resolves a table name as of the given snapshot stamp.
 func (c *Catalog) TableAt(name string, stamp uint64) (*Table, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if i := c.pastIdxLocked(stamp); i >= 0 {
-		t, ok := c.past[i].tabs[key(name)]
-		return t, ok
+	k := key(name)
+	if ch, ok := c.priorLocked(kindTable, k, stamp); ok {
+		return ch.tab, ch.tab != nil
 	}
-	t, ok := c.tabs[key(name)]
+	t, ok := c.tabs[k]
 	return t, ok
 }
 
@@ -361,11 +391,11 @@ func (c *Catalog) TableAt(name string, stamp uint64) (*Table, bool) {
 func (c *Catalog) ViewAt(name string, stamp uint64) (*View, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if i := c.pastIdxLocked(stamp); i >= 0 {
-		v, ok := c.past[i].vws[key(name)]
-		return v, ok
+	k := key(name)
+	if ch, ok := c.priorLocked(kindView, k, stamp); ok {
+		return ch.view, ch.view != nil
 	}
-	v, ok := c.vws[key(name)]
+	v, ok := c.vws[k]
 	return v, ok
 }
 
@@ -373,39 +403,59 @@ func (c *Catalog) ViewAt(name string, stamp uint64) (*View, bool) {
 func (c *Catalog) SequenceAt(name string, stamp uint64) (*Sequence, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if i := c.pastIdxLocked(stamp); i >= 0 {
-		s, ok := c.past[i].seqs[key(name)]
-		return s, ok
+	k := key(name)
+	if ch, ok := c.priorLocked(kindSeq, k, stamp); ok {
+		return ch.seq, ch.seq != nil
 	}
-	s, ok := c.seqs[key(name)]
+	s, ok := c.seqs[k]
 	return s, ok
+}
+
+// indexOwnerAtLocked returns the owning table key of index k as of the
+// stamp. Caller holds c.mu.
+func (c *Catalog) indexOwnerAtLocked(k string, stamp uint64) (string, bool) {
+	if ch, ok := c.priorLocked(kindIndex, k, stamp); ok {
+		return ch.owner, ch.owner != ""
+	}
+	owner, ok := c.idxs[k]
+	return owner, ok
 }
 
 // HasIndexAt reports whether the named index existed at the stamp.
 func (c *Catalog) HasIndexAt(name string, stamp uint64) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if i := c.pastIdxLocked(stamp); i >= 0 {
-		_, ok := c.past[i].idxs[key(name)]
-		return ok
-	}
-	_, ok := c.idxs[key(name)]
+	_, ok := c.indexOwnerAtLocked(key(name), stamp)
 	return ok
 }
 
 // TableIndexesAt returns the sorted index names owned by the table as
-// of the stamp.
+// of the stamp: the live indexes, with the records after the stamp
+// undone.
 func (c *Catalog) TableIndexesAt(table string, stamp uint64) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	idxs := c.idxs
-	if i := c.pastIdxLocked(stamp); i >= 0 {
-		idxs = c.past[i].idxs
-	}
 	tk := key(table)
-	var out []string
-	for ix, owner := range idxs {
+	first := c.firstRecLocked(stamp)
+	if first == len(c.past) {
+		return c.tableIndexesLocked(tk)
+	}
+	owned := make(map[string]bool)
+	for ix, owner := range c.idxs {
 		if owner == tk {
+			owned[ix] = true
+		}
+	}
+	for i := len(c.past) - 1; i >= first; i-- {
+		for _, ch := range c.past[i].changes {
+			if ch.kind == kindIndex {
+				owned[ch.key] = ch.owner == tk
+			}
+		}
+	}
+	var out []string
+	for ix, ok := range owned {
+		if ok {
 			out = append(out, ix)
 		}
 	}
@@ -420,7 +470,7 @@ func (c *Catalog) TableIndexesAt(table string, stamp uint64) []string {
 func (c *Catalog) VersionAt(stamp uint64) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if i := c.pastIdxLocked(stamp); i >= 0 {
+	if i := c.firstRecLocked(stamp); i < len(c.past) {
 		return c.past[i].ver
 	}
 	return c.version.Load()

@@ -18,8 +18,9 @@ import (
 // only through PublishAppend and PublishReplace (mvcc.go), which a
 // transaction commit — or recovery replay — calls at a commit stamp.
 type Table struct {
-	name   string
-	schema *schema.Schema
+	name    string
+	schema  *schema.Schema
+	created uint64 // stamp of the CREATE TABLE that published it
 
 	mu      sync.RWMutex
 	rows    []schema.Row // guarded by mu; current row generation
@@ -156,8 +157,8 @@ type Catalog struct {
 	// catalog; history/past retain superseded name maps for snapshot
 	// readers (see mvcc.go).
 	stamps  StampClock
-	history bool      // guarded by mu; retain past states (a txn manager is attached)
-	past    []catPast // guarded by mu; superseded catalog states, ascending by stamp
+	history bool     // guarded by mu; record DDL history (a txn manager is attached)
+	past    []catRec // guarded by mu; one record per DDL, ascending by stamp
 
 	// version counts DDL mutations. Caches of anything derived from the
 	// dictionary (resolved view plans, compiled statements bound to
@@ -221,10 +222,10 @@ func (c *Catalog) CreateTable(name string, s *schema.Schema) (*Table, error) {
 			return nil, err
 		}
 	}
-	stamp := c.ddlStampLocked()
+	stamp := c.ddlStampLocked(catChange{kind: kindTable, key: k})
 	// The table is unpublished until the map insert below, so its
 	// fields may be set lock-free.
-	t := &Table{name: name, schema: s, statsEpoch: c.statsEpochRef()}
+	t := &Table{name: name, schema: s, created: stamp, statsEpoch: c.statsEpochRef()}
 	c.tabs[k] = t
 	c.version.Add(1)
 	c.stamps.SetVisible(stamp)
@@ -247,8 +248,14 @@ func (c *Catalog) DropTable(name string) error {
 			return err
 		}
 	}
-	stamp := c.ddlStampLocked()
-	for _, ix := range t.Indexes() {
+	ixs := t.Indexes()
+	changes := make([]catChange, 0, 1+len(ixs))
+	changes = append(changes, catChange{kind: kindTable, key: k, tab: t})
+	for _, ix := range ixs {
+		changes = append(changes, catChange{kind: kindIndex, key: key(ix.Name()), owner: k})
+	}
+	stamp := c.ddlStampLocked(changes...)
+	for _, ix := range ixs {
 		delete(c.idxs, key(ix.Name()))
 	}
 	delete(c.tabs, k)
@@ -280,7 +287,7 @@ func (c *Catalog) CreateIndex(name, table string, col int) (*Index, error) {
 			return nil, err
 		}
 	}
-	stamp := c.ddlStampLocked()
+	stamp := c.ddlStampLocked(catChange{kind: kindIndex, key: k})
 	ix, err := t.CreateIndex(name, col)
 	if err != nil {
 		return nil, err
@@ -307,7 +314,7 @@ func (c *Catalog) DropIndex(name string) error {
 			return err
 		}
 	}
-	stamp := c.ddlStampLocked()
+	stamp := c.ddlStampLocked(catChange{kind: kindIndex, key: k, owner: tabKey})
 	if t, ok := c.tabs[tabKey]; ok {
 		if err := t.DropIndex(name); err != nil {
 			return err
@@ -342,7 +349,7 @@ func (c *Catalog) CreateView(name, text string) error {
 			return err
 		}
 	}
-	stamp := c.ddlStampLocked()
+	stamp := c.ddlStampLocked(catChange{kind: kindView, key: k})
 	c.vws[k] = &View{Name: name, Text: text}
 	c.version.Add(1)
 	c.stamps.SetVisible(stamp)
@@ -356,7 +363,8 @@ func (c *Catalog) DropView(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(name)
-	if _, ok := c.vws[k]; !ok {
+	v, ok := c.vws[k]
+	if !ok {
 		return fmt.Errorf("catalog: view %q does not exist", name)
 	}
 	if c.jn != nil {
@@ -364,7 +372,7 @@ func (c *Catalog) DropView(name string) error {
 			return err
 		}
 	}
-	stamp := c.ddlStampLocked()
+	stamp := c.ddlStampLocked(catChange{kind: kindView, key: k, view: v})
 	delete(c.vws, k)
 	c.version.Add(1)
 	c.stamps.SetVisible(stamp)
@@ -394,7 +402,7 @@ func (c *Catalog) CreateSequence(name string) (*Sequence, error) {
 			return nil, err
 		}
 	}
-	stamp := c.ddlStampLocked()
+	stamp := c.ddlStampLocked(catChange{kind: kindSeq, key: k})
 	// Literal construction for the same unpublished-object reason as
 	// CreateTable; next/logged start at 1 as in NewSequence.
 	s := &Sequence{name: name, next: 1, logged: 1, jn: c.jn}
@@ -411,7 +419,8 @@ func (c *Catalog) DropSequence(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(name)
-	if _, ok := c.seqs[k]; !ok {
+	seq, ok := c.seqs[k]
+	if !ok {
 		return fmt.Errorf("catalog: sequence %q does not exist", name)
 	}
 	if c.jn != nil {
@@ -419,7 +428,7 @@ func (c *Catalog) DropSequence(name string) error {
 			return err
 		}
 	}
-	stamp := c.ddlStampLocked()
+	stamp := c.ddlStampLocked(catChange{kind: kindSeq, key: k, seq: seq})
 	delete(c.seqs, k)
 	c.version.Add(1)
 	c.stamps.SetVisible(stamp)
@@ -469,7 +478,12 @@ func (c *Catalog) IndexOwner(name string) (string, bool) {
 func (c *Catalog) TableIndexes(table string) []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	tk := key(table)
+	return c.tableIndexesLocked(key(table))
+}
+
+// tableIndexesLocked lists the live indexes owned by table key tk,
+// sorted. Caller holds c.mu.
+func (c *Catalog) tableIndexesLocked(tk string) []string {
 	var out []string
 	for ix, owner := range c.idxs {
 		if owner == tk {

@@ -109,6 +109,10 @@ func TestPruneReleasesHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The DROP's record holds the dropped table itself.
+	if err := cat.DropTable("w1"); err != nil {
+		t.Fatal(err)
+	}
 	publish(cat, tab, true, []schema.Row{{value.NewInt(1), value.Null}}, 0)
 	publish(cat, tab, true, nil, 0)
 	lwm := cat.Stamps().Visible()
@@ -119,8 +123,8 @@ func TestPruneReleasesHistory(t *testing.T) {
 	past := cat.past[:cap(cat.past)]
 	cat.mu.RUnlock()
 	for i, p := range past {
-		if p.tabs != nil {
-			t.Fatalf("catalog state %d still pinned after pruning (len %d)", i, len(cat.past))
+		if p.changes != nil {
+			t.Fatalf("catalog DDL record %d still pinned after pruning (len %d)", i, len(cat.past))
 		}
 	}
 	tab.mu.RLock()

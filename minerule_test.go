@@ -179,3 +179,98 @@ func TestRuleStringFormat(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// ruleStrings renders a result's rules for comparison.
+func ruleStrings(res *minerule.MiningResult) []string {
+	out := make([]string, len(res.Rules))
+	for i, r := range res.Rules {
+		out[i] = r.String()
+	}
+	return out
+}
+
+// TestReuseRefusedAfterSourceWrite: encoded tables kept by one mine are
+// reused only while the source table is exactly as that mine read it.
+// A write to the source, or a drop and re-create with the same rows,
+// must send the next mine back through preprocessing, and its rules
+// must equal a fresh mine of the current data.
+func TestReuseRefusedAfterSourceWrite(t *testing.T) {
+	const stmt = `MINE RULE R AS
+		SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE
+		FROM Purchase GROUP BY tr
+		EXTRACTING RULES WITH SUPPORT: 0.25, CONFIDENCE: 0.5`
+	const insert = `INSERT INTO Purchase VALUES
+		(5, 'cust3', 'ski_pants',    DATE '1995-12-20', 140, 1),
+		(5, 'cust3', 'col_shirts',   DATE '1995-12-20',  25, 1),
+		(6, 'cust3', 'ski_pants',    DATE '1995-12-21', 140, 1),
+		(6, 'cust3', 'col_shirts',   DATE '1995-12-21',  25, 1)`
+	keep := []minerule.Option{minerule.WithKeepEncoded(), minerule.WithReuseEncoded(), minerule.WithReplaceOutput()}
+
+	sys := newSystem(t)
+	if _, err := sys.Mine(stmt, keep...); err != nil {
+		t.Fatal(err)
+	}
+	untouched, err := sys.Mine(stmt, keep...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !untouched.Reused {
+		t.Fatal("an untouched source was not reused")
+	}
+
+	if err := sys.Exec(insert); err != nil {
+		t.Fatal(err)
+	}
+	afterInsert, err := sys.Mine(stmt, keep...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newSystem(t)
+	if err := fresh.Exec(insert); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Mine(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if afterInsert.Reused {
+		t.Error("reused encoded tables after an INSERT into the source")
+	}
+	if got, w := strings.Join(ruleStrings(afterInsert), "\n"), strings.Join(ruleStrings(want), "\n"); got != w {
+		t.Errorf("rules after INSERT:\n%s\nwant (fresh mine):\n%s", got, w)
+	}
+
+	// Same rows, new table: the kept encoding describes a table that
+	// no longer exists.
+	rows, err := sys.Query("SELECT * FROM Purchase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ExecScript(`
+		CREATE TABLE Purchase2 (tr INTEGER, cust VARCHAR, item VARCHAR, dt DATE, price FLOAT, qty INTEGER);
+		INSERT INTO Purchase2 SELECT * FROM Purchase;
+		DROP TABLE Purchase;
+		CREATE TABLE Purchase (tr INTEGER, cust VARCHAR, item VARCHAR, dt DATE, price FLOAT, qty INTEGER);
+		INSERT INTO Purchase SELECT * FROM Purchase2;
+		DROP TABLE Purchase2;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sys.QueryInt("SELECT COUNT(*) FROM Purchase"); err != nil || int(n) != len(rows.Rows) {
+		t.Fatalf("re-created table has %d rows (%v), want %d", n, err, len(rows.Rows))
+	}
+	recreated, err := sys.Mine(stmt, keep...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recreated.Reused {
+		t.Error("reused encoded tables across DROP and re-CREATE of the source")
+	}
+	again, err := sys.Mine(stmt, keep...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Reused {
+		t.Error("the re-created source, untouched since the last mine, was not reused")
+	}
+}
