@@ -23,6 +23,7 @@ import (
 
 	"minerule"
 	mrparse "minerule/internal/minerule/parse"
+	"minerule/internal/sql/lex"
 )
 
 func main() {
@@ -130,38 +131,28 @@ func runOne(sys *minerule.System, stmt string, ro runOpts) error {
 	// SQL programs instead of running the statement. Plain EXPLAIN
 	// [ANALYZE] SELECT goes straight to the engine, which evaluates it
 	// natively and returns the operator tree as QUERY PLAN rows.
-	if trimmed := strings.TrimSpace(stmt); len(trimmed) > 7 && strings.EqualFold(trimmed[:7], "EXPLAIN") {
-		rest := strings.TrimSpace(trimmed[7:])
-		if !mrparse.IsMineRule(rest) {
-			out, err := sys.Format(trimmed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-			return nil
+	rest, explain, mine := mrparse.Target(stmt)
+	if mine && explain {
+		ex, err := sys.Explain(rest)
+		if err != nil {
+			return err
 		}
-		{
-			ex, err := sys.Explain(rest)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("-- classification %s; core: ", ex.Class)
-			if ex.Simple {
-				fmt.Println("simple (itemset pool)")
-			} else {
-				fmt.Println("general (rule lattice)")
-			}
-			fmt.Printf("Q1      %s\n", ex.TotalGroupsQuery)
-			for _, s := range ex.Steps {
-				fmt.Printf("%-7s %s\n", s.Name, s.SQL)
-			}
-			for _, d := range ex.Decode {
-				fmt.Printf("decode  %s\n", d)
-			}
-			return nil
+		fmt.Printf("-- classification %s; core: ", ex.Class)
+		if ex.Simple {
+			fmt.Println("simple (itemset pool)")
+		} else {
+			fmt.Println("general (rule lattice)")
 		}
+		fmt.Printf("Q1      %s\n", ex.TotalGroupsQuery)
+		for _, s := range ex.Steps {
+			fmt.Printf("%-7s %s\n", s.Name, s.SQL)
+		}
+		for _, d := range ex.Decode {
+			fmt.Printf("decode  %s\n", d)
+		}
+		return nil
 	}
-	if mrparse.IsMineRule(stmt) {
+	if mine {
 		var opts []minerule.Option
 		if ro.replace {
 			opts = append(opts, minerule.WithReplaceOutput())
@@ -188,7 +179,7 @@ func runOne(sys *minerule.System, stmt string, ro runOpts) error {
 		return nil
 	}
 	upper := strings.ToUpper(strings.TrimSpace(stmt))
-	if strings.HasPrefix(upper, "SELECT") {
+	if strings.HasPrefix(upper, "SELECT") || strings.HasPrefix(upper, "EXPLAIN") {
 		out, err := sys.Format(stmt)
 		if err != nil {
 			return err
@@ -199,31 +190,14 @@ func runOne(sys *minerule.System, stmt string, ro runOpts) error {
 	return sys.Exec(stmt)
 }
 
-// splitStatements splits on top-level semicolons, respecting single
-// quotes.
+// splitStatements splits a script at its ';' tokens. A script the SQL
+// lexer rejects runs as one statement, so the parser reports the error.
 func splitStatements(s string) []string {
-	var out []string
-	var b strings.Builder
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '\'':
-			inStr = !inStr
-			b.WriteByte(c)
-		case c == ';' && !inStr:
-			if t := strings.TrimSpace(b.String()); t != "" {
-				out = append(out, t)
-			}
-			b.Reset()
-		default:
-			b.WriteByte(c)
-		}
+	sts, err := lex.Split(s)
+	if err != nil {
+		return []string{strings.TrimSpace(s)}
 	}
-	if t := strings.TrimSpace(b.String()); t != "" {
-		out = append(out, t)
-	}
-	return out
+	return sts
 }
 
 // repl reads statements from stdin; a statement ends at a line whose

@@ -18,7 +18,9 @@
 // Statements go through the ordinary database/sql surface, including
 // MINE RULE: a Query whose text is a MINE RULE statement streams the
 // mined rules back as rows with columns BODY, HEAD, SUPPORT and
-// CONFIDENCE. Placeholders use '?'. Errors carry the server's typed
+// CONFIDENCE. Parameters use '?': arguments travel as typed values the
+// server binds when the statement runs, and Prepare checks the text on
+// the server, MINE RULE included. Errors carry the server's typed
 // code and unwrap to the same sentinels the embedded API returns, so
 // errors.Is(err, minerule.ErrBudgetExceeded) works identically in both
 // deployments.
@@ -564,12 +566,12 @@ func namedValues(vals []sqldriver.Value) []sqldriver.NamedValue {
 // rows streams response frames lazily: each Next reads one frame, so a
 // large result (or a long rule stream) never materializes client-side.
 type rows struct {
-	c    *conn
-	ctx  context.Context
-	stop func() // disarms the cancellation watchdog
-	cols []string
-	tags []byte
-	done bool
+	c     *conn
+	ctx   context.Context
+	stop  func() // disarms the cancellation watchdog
+	cols  []string
+	tags  []byte
+	done  bool
 	rowsN int64
 }
 

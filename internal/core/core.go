@@ -58,8 +58,9 @@ type Options struct {
 	// ReuseEncoded skips the preprocessing phase when a previous
 	// KeepEncoded run of an equivalent statement (same everything but
 	// thresholds, with a support no higher than before) left its
-	// encoded tables behind. The caller is responsible for not mutating
-	// the source between runs — the kernel cannot detect that.
+	// encoded tables behind. Reuse is refused (and preprocessing runs)
+	// when a source table's publish stamp changed since, or a source is
+	// a view.
 	ReuseEncoded bool
 	// Limits bounds the run: MaxRows caps the rows any one SQL step may
 	// materialize, MaxCandidates caps the mining candidate count, and

@@ -16,11 +16,18 @@ import (
 )
 
 // Parse parses one MINE RULE statement (a trailing semicolon is allowed).
+// A ? parameter marker is rejected: the statement becomes generated SQL
+// programs, so there is no execution to bind a value to.
 func Parse(src string) (*ast.Statement, error) {
 	p := &parser{src: src}
 	toks, err := lex.Lex(src)
 	if err != nil {
 		return nil, err
+	}
+	for _, t := range toks {
+		if t.IsPunct("?") {
+			return nil, fmt.Errorf("minerule: parameter ? is not allowed in MINE RULE (at offset %d)", t.Pos)
+		}
 	}
 	p.toks = toks
 	st, err := p.statement()
@@ -37,11 +44,25 @@ func Parse(src string) (*ast.Statement, error) {
 // IsMineRule reports whether the text begins a MINE RULE statement,
 // letting tooling route mixed scripts between the two parsers.
 func IsMineRule(src string) bool {
+	_, explain, ok := Target(src)
+	return ok && !explain
+}
+
+// Target reports whether src is a MINE RULE statement, bare or after
+// EXPLAIN, from one pass of the SQL lexer: rest is the MINE RULE text
+// and explain tells whether EXPLAIN preceded it.
+func Target(src string) (rest string, explain, ok bool) {
 	toks, err := lex.Lex(src)
-	if err != nil || len(toks) < 2 {
-		return false
+	if err != nil {
+		return "", false, false
 	}
-	return toks[0].IsKeyword("mine") && toks[1].IsKeyword("rule")
+	if explain = toks[0].IsKeyword("explain"); explain {
+		toks = toks[1:]
+	}
+	if len(toks) < 2 || !toks[0].IsKeyword("mine") || !toks[1].IsKeyword("rule") {
+		return "", false, false
+	}
+	return src[toks[0].Pos:], explain, true
 }
 
 type parser struct {

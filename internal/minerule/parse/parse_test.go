@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -148,6 +149,36 @@ func TestIsMineRule(t *testing.T) {
 	}
 	if IsMineRule("mine") {
 		t.Error("lone keyword misdetected")
+	}
+}
+
+// TestTarget: EXPLAIN MINE RULE is a MINE RULE target with the EXPLAIN
+// cut off; a ? inside a comment does not stop routing.
+func TestTarget(t *testing.T) {
+	for _, c := range []struct {
+		src, rest     string
+		explain, mine bool
+	}{
+		{"MINE RULE r AS SELECT", "MINE RULE r AS SELECT", false, true},
+		{"explain /* ? */ mine rule r", "mine rule r", true, true},
+		{"EXPLAIN SELECT 1", "", false, false},
+		{"SELECT 'MINE RULE'", "", false, false},
+	} {
+		rest, explain, mine := Target(c.src)
+		if rest != c.rest || explain != c.explain || mine != c.mine {
+			t.Errorf("Target(%q) = %q, %v, %v; want %q, %v, %v", c.src, rest, explain, mine, c.rest, c.explain, c.mine)
+		}
+	}
+}
+
+// TestParamRejected: MINE RULE becomes generated SQL programs, so a ?
+// has nothing to bind to and fails with its offset.
+func TestParamRejected(t *testing.T) {
+	src := strings.Replace(paperStatement, "0.2", "?", 1)
+	_, err := Parse(src)
+	want := fmt.Sprintf("parameter ? is not allowed in MINE RULE (at offset %d)", strings.Index(src, "?"))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Parse = %v, want %q", err, want)
 	}
 }
 

@@ -7,14 +7,15 @@
 // same SQL surface the embedded API uses, via the minerule/driver
 // database/sql driver or any implementation of the protocol.
 //
-// Concurrency model: the engine serializes statements internally, so N
-// sessions interleave at statement granularity; each session's context
-// carries its own resource.Limits, and a client disconnect cancels the
-// statement it was running without touching its neighbours. Admission
-// control caps concurrent connections with a typed wire error instead
-// of an ever-growing accept backlog, and shutdown drains: no new
-// connections, in-flight statements finish (until the drain deadline
-// force-cancels them), then the listener's goroutines exit.
+// Concurrency model: each session runs its statements on its own
+// engine connection, concurrently with the others under MVCC snapshots
+// and table locks; its context carries its own resource.Limits, and a
+// client disconnect cancels the statement it was running without
+// touching its neighbours. Admission control caps concurrent
+// connections with a typed wire error instead of an ever-growing accept
+// backlog, and shutdown drains: no new connections, in-flight
+// statements finish (until the drain deadline force-cancels them), then
+// the listener's goroutines exit.
 package server
 
 import (
@@ -69,8 +70,8 @@ type Server struct {
 }
 
 // New wraps an engine in a wire server. The engine may be shared with
-// embedded callers (the support UI, the CLI): its internal statement
-// serialization makes that safe.
+// embedded callers (the support UI, the CLI): every statement runs in
+// its own transaction, so that is safe.
 func New(db *engine.Database, cfg Config) *Server {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = DefaultMaxConns
@@ -229,27 +230,18 @@ func (s *Server) checkToken(tok string) bool {
 // bounds: a zero request inherits the default; a non-zero request is
 // honoured but may not exceed a non-zero server bound.
 func capLimits(def, req resource.Limits) resource.Limits {
-	capInt := func(d, r int) int {
-		if r <= 0 {
-			return d
-		}
-		if d > 0 && r > d {
-			return d
-		}
-		return r
+	return resource.Limits{
+		MaxRows:       capAt(def.MaxRows, req.MaxRows),
+		MaxCandidates: capAt(def.MaxCandidates, req.MaxCandidates),
+		MaxPageIO:     capAt(def.MaxPageIO, req.MaxPageIO),
+		MaxRuntime:    capAt(def.MaxRuntime, req.MaxRuntime),
 	}
-	out := resource.Limits{
-		MaxRows:       capInt(def.MaxRows, req.MaxRows),
-		MaxCandidates: capInt(def.MaxCandidates, req.MaxCandidates),
-		MaxPageIO:     capInt(def.MaxPageIO, req.MaxPageIO),
+}
+
+// capAt applies capLimits' rule to one bound.
+func capAt[T int | time.Duration](d, r T) T {
+	if r <= 0 || d > 0 && r > d {
+		return d
 	}
-	switch {
-	case req.MaxRuntime <= 0:
-		out.MaxRuntime = def.MaxRuntime
-	case def.MaxRuntime > 0 && req.MaxRuntime > def.MaxRuntime:
-		out.MaxRuntime = def.MaxRuntime
-	default:
-		out.MaxRuntime = req.MaxRuntime
-	}
-	return out
+	return r
 }

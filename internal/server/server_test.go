@@ -226,47 +226,3 @@ func TestCapLimits(t *testing.T) {
 		}
 	}
 }
-
-func TestScanSQL(t *testing.T) {
-	cases := []struct {
-		sql    string
-		nPH    int
-		script bool
-	}{
-		{"SELECT * FROM t", 0, false},
-		{"SELECT * FROM t WHERE a = ? AND b = ?", 2, false},
-		{"SELECT '?' FROM t", 0, false},
-		{"SELECT 'it''s ?' FROM t WHERE x = ?", 1, false},
-		{"SELECT \"?\" FROM t", 0, false},
-		{"SELECT * FROM t -- trailing ? comment", 0, false},
-		{"SELECT * /* block ? comment */ FROM t WHERE a = ?", 1, false},
-		{"CREATE TABLE t (a INT); INSERT INTO t VALUES (1)", 0, true},
-		{"SELECT * FROM t;", 0, false}, // trailing semicolon, one statement
-		{"SELECT * FROM t; -- done", 0, false},
-		{"INSERT INTO t VALUES (?); INSERT INTO t VALUES (?)", 2, true},
-	}
-	for _, c := range cases {
-		ph, script := scanSQL(c.sql)
-		if len(ph) != c.nPH || script != c.script {
-			t.Errorf("scanSQL(%q) = %d placeholders script=%v, want %d %v",
-				c.sql, len(ph), script, c.nPH, c.script)
-		}
-	}
-}
-
-func TestSubstitute(t *testing.T) {
-	text := "SELECT * FROM t WHERE a = ? AND b = ? AND c = ?"
-	ph, _ := scanSQL(text)
-	st := &prepStmt{sql: text, placeholders: ph}
-	out, err := substitute(st, []interface{}{int64(7), "it's", nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "SELECT * FROM t WHERE a = 7 AND b = 'it''s' AND c = NULL"
-	if out != want {
-		t.Fatalf("got %q want %q", out, want)
-	}
-	if _, err := substitute(st, []interface{}{int64(1)}); err == nil {
-		t.Fatal("want arity error")
-	}
-}

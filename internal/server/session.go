@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"minerule/internal/resource"
 	"minerule/internal/server/wire"
 	"minerule/internal/sql/engine"
+	"minerule/internal/sql/lex"
 	"minerule/internal/sql/schema"
 	"minerule/internal/sql/value"
 )
@@ -66,13 +68,40 @@ type frame struct {
 	payload []byte
 }
 
-// prepStmt is one prepared-statement handle: the text plus the offsets
-// of its ? placeholders. Execution substitutes arguments and runs the
-// final text through the engine, whose prepared-program cache keys on
-// exactly that text — the handle is a name for a stmtcache entry.
+// prepStmt is a statement text classified for its runner; a prepared
+// handle also holds its ? parameter count. Execute binds arguments as
+// values, so a handle names one stmtcache entry however many distinct
+// arguments it runs with.
 type prepStmt struct {
-	sql          string
-	placeholders []int
+	kind   stmtKind
+	sql    string
+	params int
+}
+
+// stmtKind is the runner a statement text goes to.
+type stmtKind int
+
+const (
+	kindSQL         stmtKind = iota // one engine statement
+	kindScript                      // several ';'-separated engine statements
+	kindMine                        // MINE RULE, run by the kernel
+	kindExplainMine                 // EXPLAIN MINE RULE, rendered by the translator
+)
+
+// classify routes a text by its tokens: MINE RULE (bare or after
+// EXPLAIN) to the kernel, multi-statement texts to the script path,
+// everything else to the engine.
+func classify(text string) *prepStmt {
+	st := &prepStmt{kind: kindSQL, sql: strings.TrimSpace(text)}
+	if rest, explain, ok := mrparse.Target(st.sql); ok {
+		st.kind, st.sql = kindMine, rest
+		if explain {
+			st.kind = kindExplainMine
+		}
+	} else if sts, _ := lex.Split(st.sql); len(sts) > 1 {
+		st.kind = kindScript
+	}
+	return st
 }
 
 // countReader / countWriter feed the wire byte counters.
@@ -321,7 +350,7 @@ func (sess *session) handle(ctx context.Context, f frame) error {
 		if p.Err() != nil {
 			return sess.protocolViolation("malformed Query frame")
 		}
-		return sess.runSQL(stCtx, text)
+		return sess.runText(stCtx, classify(text), nil)
 
 	case wire.MsgPrepare:
 		p := wire.Parser{B: f.payload}
@@ -335,9 +364,9 @@ func (sess *session) handle(ctx context.Context, f frame) error {
 		p := wire.Parser{B: f.payload}
 		id := p.U32()
 		nargs := int(p.U16())
-		args := make([]interface{}, 0, nargs)
+		args := make([]value.Value, 0, nargs)
 		for i := 0; i < nargs; i++ {
-			args = append(args, p.Value())
+			args = append(args, argValue(p.Value()))
 		}
 		if p.Err() != nil {
 			return sess.protocolViolation("malformed Execute frame")
@@ -346,11 +375,10 @@ func (sess *session) handle(ctx context.Context, f frame) error {
 		if !ok {
 			return sess.sendError(wire.CodeInvalid, fmt.Sprintf("server: unknown prepared statement %d", id))
 		}
-		text, err := substitute(st, args)
-		if err != nil {
-			return sess.sendError(wire.CodeInvalid, err.Error())
+		if len(args) != st.params {
+			return sess.sendError(wire.CodeInvalid, fmt.Sprintf("server: statement has %d parameter(s), got %d argument(s)", st.params, len(args)))
 		}
-		return sess.runSQL(stCtx, text)
+		return sess.runText(stCtx, st, args)
 
 	case wire.MsgCloseStmt:
 		p := wire.Parser{B: f.payload}
@@ -360,14 +388,6 @@ func (sess *session) handle(ctx context.Context, f frame) error {
 		}
 		delete(sess.stmts, id)
 		return sess.sendComplete("CLOSE", 0)
-
-	case wire.MsgExplain:
-		p := wire.Parser{B: f.payload}
-		text := p.String()
-		if p.Err() != nil {
-			return sess.protocolViolation("malformed Explain frame")
-		}
-		return sess.explain(stCtx, text)
 
 	default:
 		return sess.protocolViolation(fmt.Sprintf("unexpected frame type %q", f.typ))
@@ -381,44 +401,69 @@ func (sess *session) protocolViolation(msg string) error {
 	return errors.New("server: protocol violation: " + msg)
 }
 
-// prepare registers a statement handle. Texts without placeholders are
-// checked eagerly against the engine's prepared-program cache, so a
-// typo fails at Prepare like on any database; placeholder-bearing texts
-// can only be checked once bound.
+// prepare registers a statement handle after checking the text with
+// the parser that will run it: MINE RULE texts with the MINE RULE
+// parser, everything else with engine.Prepare, which also counts the ?
+// parameters. A typo fails at Prepare like on any database.
 func (sess *session) prepare(text string) error {
-	ph, script := scanSQL(text)
-	if len(ph) == 0 && !script {
-		if err := sess.srv.db.Prepare(text); err != nil {
-			return sess.sendStatementError(err)
-		}
+	st := classify(text)
+	var err error
+	if st.kind == kindMine || st.kind == kindExplainMine {
+		_, err = mrparse.Parse(st.sql)
+	} else {
+		st.params, err = sess.srv.db.Prepare(st.sql)
+	}
+	if err == nil && st.params > math.MaxUint16 {
+		// Prepared and Execute frames carry the count as a u16.
+		err = fmt.Errorf("server: statement has %d parameters, at most %d can be bound", st.params, math.MaxUint16)
+	}
+	if err != nil {
+		return sess.sendStatementError(err)
 	}
 	sess.nextStmt++
 	id := sess.nextStmt
-	sess.stmts[id] = &prepStmt{sql: text, placeholders: ph}
+	sess.stmts[id] = st
 	var b wire.Builder
 	b.PutU32(id)
-	b.PutU16(uint16(len(ph)))
+	b.PutU16(uint16(st.params))
 	return sess.send(wire.MsgPrepared, b.B)
 }
 
-// runSQL routes one statement text: MINE RULE to the kernel (rules
-// stream back), EXPLAIN MINE RULE to the translator, multi-statement
-// scripts to the script path, everything else to the engine.
-func (sess *session) runSQL(ctx context.Context, text string) error {
-	trim := strings.TrimSpace(text)
-	if rest, ok := cutExplain(trim); ok && mrparse.IsMineRule(rest) {
-		return sess.explainMine(rest)
+// argValue converts one wire argument into the value it binds.
+func argValue(v interface{}) value.Value {
+	switch x := v.(type) {
+	case int64:
+		return value.NewInt(x)
+	case float64:
+		return value.NewFloat(x)
+	case bool:
+		return value.NewBool(x)
+	case string:
+		return value.NewString(x)
+	case time.Time:
+		return value.NewDate(x.Year(), x.Month(), x.Day())
+	default:
+		return value.Null
 	}
-	if mrparse.IsMineRule(trim) {
-		return sess.runMine(ctx, trim)
-	}
-	if _, script := scanSQL(trim); script {
-		if err := sess.econn.ExecScriptContext(ctx, trim); err != nil {
+}
+
+// runText executes one classified text with its bound arguments: MINE
+// RULE on the kernel (rules stream back), EXPLAIN MINE RULE on the
+// translator, scripts and single statements on the session's engine
+// connection.
+func (sess *session) runText(ctx context.Context, st *prepStmt, args []value.Value) error {
+	switch st.kind {
+	case kindExplainMine:
+		return sess.explainMine(st.sql)
+	case kindMine:
+		return sess.runMine(ctx, st.sql)
+	case kindScript:
+		if err := sess.econn.ExecScriptContext(ctx, st.sql, args...); err != nil {
 			return sess.sendStatementError(err)
 		}
 		return sess.sendComplete("SCRIPT", 0)
 	}
-	res, err := sess.econn.ExecContext(ctx, trim)
+	res, err := sess.econn.ExecContext(ctx, st.sql, args...)
 	if err != nil {
 		return sess.sendStatementError(err)
 	}
@@ -450,18 +495,12 @@ func (sess *session) runMine(ctx context.Context, text string) error {
 	}
 	var b wire.Builder
 	b.PutU16(4)
-	for _, c := range [][2]byte{{'B', wire.TagString}, {'H', wire.TagString}, {'S', wire.TagFloat}, {'C', wire.TagFloat}} {
-		switch c[0] {
-		case 'B':
-			b.PutString("BODY")
-		case 'H':
-			b.PutString("HEAD")
-		case 'S':
-			b.PutString("SUPPORT")
-		case 'C':
-			b.PutString("CONFIDENCE")
-		}
-		b.B = append(b.B, c[1])
+	for _, c := range []struct {
+		name string
+		tag  byte
+	}{{"BODY", wire.TagString}, {"HEAD", wire.TagString}, {"SUPPORT", wire.TagFloat}, {"CONFIDENCE", wire.TagFloat}} {
+		b.PutString(c.name)
+		b.B = append(b.B, c.tag)
 	}
 	if err := sess.send(wire.MsgRowDesc, b.B); err != nil {
 		return err
@@ -487,23 +526,6 @@ func renderSide(els [][]string) string {
 		parts[i] = strings.Join(t, "/")
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// explain serves the Explain message: translator programs for MINE
-// RULE, the executor decision log for SQL.
-func (sess *session) explain(ctx context.Context, text string) error {
-	trim := strings.TrimSpace(text)
-	if rest, ok := cutExplain(trim); ok {
-		trim = rest
-	}
-	if mrparse.IsMineRule(trim) {
-		return sess.explainMine(trim)
-	}
-	plan, err := sess.srv.db.ExplainSQLContext(ctx, trim)
-	if err != nil {
-		return sess.sendStatementError(err)
-	}
-	return sess.sendPlanRows(strings.Split(strings.TrimRight(plan, "\n"), "\n"))
 }
 
 // explainMine renders the translator's programs for a MINE RULE
@@ -658,12 +680,4 @@ func errorCode(err error) string {
 	default:
 		return wire.CodeInvalid
 	}
-}
-
-// cutExplain strips a leading EXPLAIN keyword.
-func cutExplain(stmt string) (string, bool) {
-	if len(stmt) > 7 && strings.EqualFold(stmt[:7], "EXPLAIN") && (stmt[7] == ' ' || stmt[7] == '\t' || stmt[7] == '\n' || stmt[7] == '\r') {
-		return strings.TrimSpace(stmt[7:]), true
-	}
-	return stmt, false
 }

@@ -50,10 +50,9 @@ const MaxFrame = 16 << 20
 const (
 	MsgStartup   byte = 'S' // protocol version + options; first frame on a connection
 	MsgQuery     byte = 'Q' // one SQL / MINE RULE statement (or ;-script) as text
-	MsgPrepare   byte = 'P' // statement text with ? placeholders -> Prepared
+	MsgPrepare   byte = 'P' // statement text with ? parameters -> Prepared
 	MsgExecute   byte = 'E' // prepared statement id + arguments
 	MsgCloseStmt byte = 'C' // discard a prepared statement id
-	MsgExplain   byte = 'X' // statement text -> plan rows, nothing executed
 	MsgTerminate byte = 'T' // clean goodbye; the server closes the connection
 )
 
@@ -64,7 +63,7 @@ const (
 	MsgDataRow  byte = 'D' // one row of tagged values
 	MsgRuleRow  byte = 'r' // one streamed mined rule (layout identical to DataRow)
 	MsgComplete byte = 'Z' // request done: command tag + rows affected; server is ready
-	MsgPrepared byte = 'p' // Prepare accepted: statement id + placeholder count
+	MsgPrepared byte = 'p' // Prepare accepted: statement id + parameter count
 	MsgError    byte = 'e' // request failed: code + message; server is ready again
 )
 

@@ -64,18 +64,22 @@ func (c *Conn) Exec(sql string) (*exec.Result, error) {
 }
 
 // ExecContext parses and executes one SQL statement under a
-// cancellation context. Execution is bounded by the database Limits and
-// guarded by the executor's panic-containment boundary.
-func (c *Conn) ExecContext(ctx context.Context, sql string) (*exec.Result, error) {
+// cancellation context, binding args to its ? parameters in order.
+// Execution is bounded by the database Limits and guarded by the
+// executor's panic-containment boundary.
+func (c *Conn) ExecContext(ctx context.Context, sql string, args ...value.Value) (*exec.Result, error) {
 	db := c.db
 	t0 := time.Now()
 	p, err := db.parseStmt(sql)
 	db.met.ParseNanos.Add(int64(time.Since(t0)))
+	if err == nil {
+		err = checkArity(p.params, args)
+	}
 	if err != nil {
 		db.met.StmtErrors.Inc()
 		return nil, fmt.Errorf("engine: %w\n  in: %s", err, compact(sql))
 	}
-	return c.execParsed(ctx, p.st, p, sql, sql, nil)
+	return c.execParsed(ctx, p.st, p, sql, sql, nil, args)
 }
 
 // ExecScript executes a semicolon-separated sequence of statements on
@@ -89,15 +93,28 @@ func (c *Conn) ExecScript(sql string) error {
 // through an overlay), so the per-statement verdict cache is bypassed;
 // transaction-control statements inside the script act on this
 // connection, so a script may open, populate, and commit a transaction.
-func (c *Conn) ExecScriptContext(ctx context.Context, sql string) error {
-	sts, err := c.db.prepareScript(sql)
+// args bind the script's ? parameters, numbered across its statements.
+func (c *Conn) ExecScriptContext(ctx context.Context, sql string, args ...value.Value) error {
+	sts, params, err := c.db.prepareScript(sql)
+	if err == nil {
+		err = checkArity(params, args)
+	}
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
 	for _, st := range sts {
-		if _, err := c.execParsed(ctx, st, nil, sql, st.SQL(), nil); err != nil {
+		if _, err := c.execParsed(ctx, st, nil, sql, st.SQL(), nil, args); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkArity fails an execution whose argument count differs from the
+// text's ? parameter count.
+func checkArity(params int, args []value.Value) error {
+	if len(args) != params {
+		return fmt.Errorf("statement has %d parameter(s), got %d argument(s)", params, len(args))
 	}
 	return nil
 }
@@ -106,7 +123,7 @@ func (c *Conn) ExecScriptContext(ctx context.Context, sql string) error {
 // on the connection itself; everything else runs inside a transaction —
 // the connection's explicit one when open, an ephemeral autocommit
 // transaction otherwise.
-func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, src, stmtSQL string, trace func(string)) (*exec.Result, error) {
+func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, src, stmtSQL string, trace func(string), args []value.Value) (*exec.Result, error) {
 	switch st.(type) {
 	case *parse.Begin:
 		return c.beginTxn()
@@ -122,11 +139,11 @@ func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, 
 		// lock serializes the session's own statements against its
 		// COMMIT/ROLLBACK.
 		defer c.mu.Unlock()
-		return db.execStatement(ctx, c.tx, false, st, p, src, stmtSQL, trace)
+		return db.execStatement(ctx, c.tx, false, st, p, src, stmtSQL, trace, args)
 	}
 	c.mu.Unlock()
 	tx := db.mgr.Begin()
-	res, err := db.execStatement(ctx, tx, true, st, p, src, stmtSQL, trace)
+	res, err := db.execStatement(ctx, tx, true, st, p, src, stmtSQL, trace, args)
 	db.mgr.Release(tx)
 	return res, err
 }
@@ -235,8 +252,9 @@ func (c *Conn) rollbackTxn() (*exec.Result, error) {
 // non-nil, carries the statement's cached semantic verdict, validated
 // against the transaction snapshot's catalog version; script statements
 // pass nil (their check already ran against the script overlay). trace,
-// when non-nil, receives the executor's decision log for the duration.
-func (db *Database) execStatement(ctx context.Context, tx *txn.Txn, auto bool, st parse.Statement, p *prepared, src, stmtSQL string, trace func(string)) (*exec.Result, error) {
+// when non-nil, receives the executor's decision log for the duration;
+// args are the values bound to the statement's ? parameters.
+func (db *Database) execStatement(ctx context.Context, tx *txn.Txn, auto bool, st parse.Statement, p *prepared, src, stmtSQL string, trace func(string), args []value.Value) (*exec.Result, error) {
 	if p != nil {
 		if err := db.verdict(p, src, tx, tx.CatalogVersion()); err != nil {
 			// EXPLAIN of a semantically invalid query reports the
@@ -275,6 +293,7 @@ func (db *Database) execStatement(ctx context.Context, tx *txn.Txn, auto bool, s
 	rt.Txn = tx
 	rt.Limits = l
 	rt.Trace = trace
+	rt.Args = args
 	var sp txn.Savepoint
 	if !auto {
 		sp = tx.Savepoint()
@@ -313,5 +332,6 @@ func (db *Database) getRuntime() *exec.Runtime {
 func (db *Database) putRuntime(rt *exec.Runtime) {
 	rt.Txn = nil
 	rt.Trace = nil
+	rt.Args = nil
 	db.rtPool.Put(rt)
 }

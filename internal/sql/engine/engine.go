@@ -252,12 +252,20 @@ func (db *Database) QueryContext(ctx context.Context, sql string) (*exec.Result,
 	return res, nil
 }
 
-// Prepare parses and semantically checks one statement without
-// executing it, priming the prepared-program cache. The check runs
+// Prepare parses and semantically checks a statement or script without
+// executing it, priming the prepared-program cache, and returns the
+// number of ? parameters an execution must bind. The check runs
 // against the live catalog; execution re-validates against its own
 // transaction's snapshot. The network session layer uses Prepare to
 // fail a bad statement eagerly, the way any remote database does.
-func (db *Database) Prepare(sql string) error {
+func (db *Database) Prepare(sql string) (int, error) {
+	if sts, _ := lex.Split(sql); len(sts) > 1 {
+		_, params, err := db.prepareScript(sql)
+		if err != nil {
+			return 0, fmt.Errorf("engine: %w", err)
+		}
+		return params, nil
+	}
 	t0 := time.Now()
 	p, err := db.parseStmt(sql)
 	db.met.ParseNanos.Add(int64(time.Since(t0)))
@@ -266,32 +274,35 @@ func (db *Database) Prepare(sql string) error {
 	}
 	if err != nil {
 		db.met.StmtErrors.Inc()
-		return fmt.Errorf("engine: %w\n  in: %s", err, compact(sql))
+		return 0, fmt.Errorf("engine: %w\n  in: %s", err, compact(sql))
 	}
-	return nil
+	return p.params, nil
 }
 
 // ExplainSQL executes a query with executor tracing enabled and returns
 // the decision log (scan sources, join strategies, index use, filter
 // selectivities) followed by the result cardinality — an EXPLAIN
-// ANALYZE for the embedded engine.
-func (db *Database) ExplainSQL(sql string) (string, error) {
-	return db.ExplainSQLContext(context.Background(), sql)
+// ANALYZE for the embedded engine. args bind the query's ? parameters.
+func (db *Database) ExplainSQL(sql string, args ...value.Value) (string, error) {
+	return db.ExplainSQLContext(context.Background(), sql, args...)
 }
 
 // ExplainSQLContext is ExplainSQL under a cancellation context. The
 // trace hook is installed on the statement's own pooled runtime, so
 // concurrent sessions never observe each other's decision logs.
-func (db *Database) ExplainSQLContext(ctx context.Context, sql string) (string, error) {
+func (db *Database) ExplainSQLContext(ctx context.Context, sql string, args ...value.Value) (string, error) {
 	t0 := time.Now()
 	p, err := db.parseStmt(sql)
 	db.met.ParseNanos.Add(int64(time.Since(t0)))
+	if err == nil {
+		err = checkArity(p.params, args)
+	}
 	if err != nil {
 		db.met.StmtErrors.Inc()
 		return "", fmt.Errorf("engine: %w\n  in: %s", err, compact(sql))
 	}
 	var lines []string
-	res, err := db.def.execParsed(ctx, p.st, p, sql, sql, func(l string) { lines = append(lines, l) })
+	res, err := db.def.execParsed(ctx, p.st, p, sql, sql, func(l string) { lines = append(lines, l) }, args)
 	if err != nil {
 		return "", err
 	}

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"minerule/internal/resource"
+	"minerule/internal/sql/parse"
+	"minerule/internal/sql/value"
 )
 
 // staticErrMarkers are the error classes the semantic checker promises
@@ -60,6 +62,10 @@ var FuzzSemCheckSeeds = []string{
 	"SELECT a + b FROM t",
 	"SELECT * FROM nosuch",
 	"SELECT NOSUCHFUNC(a) FROM t",
+	// ? parameters, bound by FuzzSemCheck to small integers.
+	"SELECT a, ? FROM t WHERE a = ? OR b IN (SELECT y FROM s WHERE x > ?)",
+	"INSERT INTO s VALUES (?, 'p'); UPDATE t SET a = ? WHERE d IS NULL",
+	"SELECT b FROM t WHERE b = ?",
 }
 
 // FuzzSemCheckSetup is the dictionary and data every FuzzSemCheck input
@@ -76,7 +82,8 @@ const FuzzSemCheckSetup = `
 // semantic checker and the executor. Every statement is pushed through
 // the full engine path (parse → semck → exec); the properties are:
 //
-//  1. no input text panics or hangs the checker or the engine;
+//  1. no input text panics or hangs the checker or the engine (? parameters
+//     bind the integers 1..n);
 //  2. a statement that passes semck (i.e. reaches the executor) never
 //     fails with a static-analysis error class at runtime.
 //
@@ -101,7 +108,12 @@ func FuzzSemCheck(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		for _, stmt := range strings.Split(src, ";") {
-			_, err := db.ExecContext(ctx, stmt)
+			_, n, _ := parse.ParseParams(stmt)
+			args := make([]value.Value, n)
+			for i := range args {
+				args[i] = value.NewInt(int64(i + 1))
+			}
+			_, err := db.def.ExecContext(ctx, stmt, args...)
 			if err == nil {
 				continue
 			}

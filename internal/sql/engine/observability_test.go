@@ -276,9 +276,10 @@ func TestTxnMetricsExposition(t *testing.T) {
 
 	// Contention: an autocommit writer on the same table must wait for
 	// the explicit transaction's lock.
+	// Read the baseline before starting the writer, which may queue at once.
+	waitStart := db.Metrics().LockWaits.Load()
 	done := make(chan error, 1)
 	go func() { _, err := db.Exec("INSERT INTO t VALUES (2)"); done <- err }()
-	waitStart := db.Metrics().LockWaits.Load()
 	deadline := time.Now().Add(5 * time.Second)
 	for db.Metrics().LockWaits.Load() == waitStart {
 		if time.Now().After(deadline) {

@@ -12,10 +12,10 @@ import (
 )
 
 // The on-disk format is one directory: manifest.json plus one CSV per
-// table (typed headers, the ImportCSV format). It is deliberately plain
-// — the engine is in-memory by design (DESIGN.md §7), and save/load
-// exists so mining sessions and their rule tables survive restarts, not
-// as a transactional store.
+// table (typed headers, the ImportCSV format). It is deliberately plain:
+// durability is the WAL-backed store's job (Open, DESIGN.md §12), and
+// save/load writes a portable copy of a database, not a transactional
+// store.
 
 // manifest describes a saved database.
 type manifest struct {

@@ -95,6 +95,7 @@ func (c *clockCache[V]) put(k string, v V, limit int) bool {
 type prepared struct {
 	st      parse.Statement
 	sts     []parse.Statement // script form
+	params  int               // ? parameters in the text
 	checked bool              // ver/err valid
 	ver     uint64
 	err     error
@@ -152,11 +153,11 @@ func (db *Database) parseStmt(sql string) (*prepared, error) {
 	c.mu.Unlock()
 	db.met.StmtCacheMisses.Inc()
 
-	st, err := parse.Parse(sql)
+	st, params, err := parse.ParseParams(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &prepared{st: st}
+	p := &prepared{st: st, params: params}
 	c.mu.Lock()
 	if c.stmts.put(sql, p, stmtCacheLimit) {
 		c.evictions++
@@ -225,8 +226,9 @@ func (db *Database) checkScript(sts []parse.Statement, src string) error {
 // prepareScript is parseStmt+verdict for semicolon-separated scripts:
 // the whole sequence is checked as a unit against the live catalog
 // (with DDL effects threaded through an overlay), so the per-statement
-// verdict path is bypassed at execution.
-func (db *Database) prepareScript(sql string) ([]parse.Statement, error) {
+// verdict path is bypassed at execution. It also returns the script's
+// ? parameter count.
+func (db *Database) prepareScript(sql string) ([]parse.Statement, int, error) {
 	c := &db.cache
 	ver := db.cat.Version()
 	c.mu.Lock()
@@ -236,31 +238,31 @@ func (db *Database) prepareScript(sql string) ([]parse.Statement, error) {
 			p.err = db.checkScript(p.sts, sql)
 			p.checked, p.ver = true, ver
 		}
-		sts, err := p.sts, p.err
+		sts, params, err := p.sts, p.params, p.err
 		c.mu.Unlock()
 		db.met.StmtCacheHits.Inc()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return sts, nil
+		return sts, params, nil
 	}
 	c.misses++
 	c.mu.Unlock()
 	db.met.StmtCacheMisses.Inc()
 
-	sts, err := parse.ParseScript(sql)
+	sts, params, err := parse.ParseScript(sql)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	cerr := db.checkScript(sts, sql)
 	c.mu.Lock()
-	if c.scripts.put(sql, &prepared{sts: sts, checked: true, ver: ver, err: cerr}, stmtCacheLimit) {
+	if c.scripts.put(sql, &prepared{sts: sts, params: params, checked: true, ver: ver, err: cerr}, stmtCacheLimit) {
 		c.evictions++
 		db.met.StmtCacheEvictions.Inc()
 	}
 	c.mu.Unlock()
 	if cerr != nil {
-		return nil, cerr
+		return nil, 0, cerr
 	}
-	return sts, nil
+	return sts, params, nil
 }

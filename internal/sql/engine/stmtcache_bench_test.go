@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"minerule/internal/sql/semck"
+	"minerule/internal/sql/value"
 )
 
 // prepareLive is the test stand-in for the engine's prepare path:
@@ -65,6 +67,28 @@ func TestPrepareHitAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("prepare() hit path allocates %.1f objects/op after recheck, want 0", allocs)
 	}
+
+	// A ? text is one program whatever its arguments: running it with
+	// changing args adds no cache entry, and its hit path stays
+	// allocation-free.
+	const psql = "SELECT a, UPPER(b) FROM t WHERE a = ?"
+	_, m0 := db.StatementCacheStats()
+	for i := 0; i < 20; i++ {
+		if _, err := db.def.ExecContext(context.Background(), psql, value.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, m := db.StatementCacheStats(); m-m0 != 1 {
+		t.Fatalf("20 executions with changing args: %d cache misses, want 1", m-m0)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if err := prepareLive(db, psql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("prepare() hit path of a ? text allocates %.1f objects/op, want 0", allocs)
+	}
 }
 
 // TestSemCheckOncePerProgram pins the "once per cached program" half of
@@ -100,6 +124,32 @@ func BenchmarkPrepareHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := prepareLive(db, sql); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPreparedPointRead runs one ? point read with a new key each
+// iteration: the statement-cache hit, argument binding and the index
+// lookup, with allocations reported per execution.
+func BenchmarkPreparedPointRead(b *testing.B) {
+	db := New()
+	if err := db.ExecScript("CREATE TABLE kv (k INTEGER, v VARCHAR); CREATE INDEX kv_k ON kv (k)"); err != nil {
+		b.Fatal(err)
+	}
+	c := db.Conn()
+	ctx := context.Background()
+	const keys = 1000
+	for k := 0; k < keys; k++ {
+		if _, err := c.ExecContext(ctx, "INSERT INTO kv VALUES (?, ?)", value.NewInt(int64(k)), value.NewString("v")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.ExecContext(ctx, "SELECT v FROM kv WHERE k = ?", value.NewInt(int64(i%keys)))
+		if err != nil || len(res.Rows) != 1 {
+			b.Fatalf("read %d: %v", i%keys, err)
 		}
 	}
 }

@@ -183,7 +183,7 @@ func TestPrepareUnderConcurrentDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "SELECT a FROM t"
-	if err := db.Prepare(q); err != nil {
+	if _, err := db.Prepare(q); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Query(q); err != nil {
@@ -313,7 +313,7 @@ func TestPrepareDDLRace(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		const q = "SELECT a FROM t"
-		if err := db.Prepare(q); err != nil && !churnErr(err) {
+		if _, err := db.Prepare(q); err != nil && !churnErr(err) {
 			t.Fatalf("prepare during DDL churn: %v", err)
 		}
 		res, err := db.Query(q)

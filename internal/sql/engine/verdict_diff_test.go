@@ -178,7 +178,7 @@ func TestVerdictMemoDifferential(t *testing.T) {
 				want = err.Error()
 			}
 			var got string
-			if err := db.Prepare(texts[i]); err != nil {
+			if _, err := db.Prepare(texts[i]); err != nil {
 				var se *semck.Error
 				if !errors.As(err, &se) {
 					t.Fatalf("step %d: Prepare(%q): %v", step, texts[i], err)

@@ -26,7 +26,7 @@ func coldCheck(t *testing.T, db *Database, text string) string {
 // ("" when accepted).
 func memoVerdict(t *testing.T, db *Database, text string) string {
 	t.Helper()
-	err := db.Prepare(text)
+	_, err := db.Prepare(text)
 	if err == nil {
 		return ""
 	}

@@ -70,7 +70,8 @@ func TestInvalidViewRejected(t *testing.T) {
 			return err
 		}},
 		{"Prepare", func(db *Database, stmt string) error {
-			return db.Prepare(stmt)
+			_, err := db.Prepare(stmt)
+			return err
 		}},
 	}
 	for _, p := range paths {

@@ -49,6 +49,10 @@ func (b *binding) compile(e parse.Expr) (evalFunc, error) {
 		v := x.Val
 		return func(schema.Row) (value.Value, error) { return v, nil }, nil
 
+	case *parse.Param:
+		v := b.rt.Args[x.N-1]
+		return func(schema.Row) (value.Value, error) { return v, nil }, nil
+
 	case *parse.ColumnRef:
 		idx := b.schema.Lookup(x.Qual, x.Name)
 		if idx < 0 {

@@ -32,6 +32,11 @@ type Runtime struct {
 	// Limits bounds the rows any single statement may materialize;
 	// exceeding it fails with a *resource.BudgetError.
 	Limits resource.Limits
+	// Args are the statement's bound ? arguments: a parse.Param with
+	// ordinal N reads Args[N-1]. The engine sets them per execution,
+	// after checking there is one per parameter, so the cached AST
+	// itself never carries a value.
+	Args []value.Value
 	// env is the enclosing-subquery environment of the query currently
 	// executing (nil at top level); managed by execSelectEnv.
 	env *outerRef

@@ -435,7 +435,7 @@ func (rt *Runtime) scanFor(tr parse.TableRef, conjuncts []parse.Expr, used []boo
 				if used[i] {
 					continue
 				}
-				ord, lit, ok := indexableEquality(c, qualified)
+				ord, lit, ok := rt.indexableEquality(c, qualified)
 				if !ok {
 					continue
 				}
@@ -520,28 +520,36 @@ func (rt *Runtime) tableStats(t *storage.Table) *storage.TableStats {
 	return st
 }
 
-// indexableEquality matches "col = literal" (either orientation) where
-// col resolves in the given schema, returning the column ordinal and
-// the literal value.
-func indexableEquality(c parse.Expr, s *schema.Schema) (int, value.Value, bool) {
+// indexableEquality matches "col = literal" or "col = ?" (either
+// orientation) where col resolves in the given schema, returning the
+// column ordinal and the compared value.
+func (rt *Runtime) indexableEquality(c parse.Expr, s *schema.Schema) (int, value.Value, bool) {
 	be, ok := c.(*parse.BinaryExpr)
 	if !ok || be.Op != parse.OpEq {
 		return 0, value.Null, false
 	}
-	try := func(refSide, litSide parse.Expr) (int, value.Value, bool) {
+	try := func(refSide, valSide parse.Expr) (int, value.Value, bool) {
 		cr, ok := refSide.(*parse.ColumnRef)
 		if !ok {
 			return 0, value.Null, false
 		}
-		lit, ok := litSide.(*parse.Literal)
-		if !ok || lit.Val.IsNull() {
+		var v value.Value
+		switch x := valSide.(type) {
+		case *parse.Literal:
+			v = x.Val
+		case *parse.Param:
+			v = rt.Args[x.N-1]
+		default:
+			return 0, value.Null, false
+		}
+		if v.IsNull() {
 			return 0, value.Null, false
 		}
 		ord, err := s.Resolve(cr.Qual, cr.Name)
 		if err != nil {
 			return 0, value.Null, false
 		}
-		return ord, lit.Val, true
+		return ord, v, true
 	}
 	if ord, v, ok := try(be.L, be.R); ok {
 		return ord, v, true

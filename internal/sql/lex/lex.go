@@ -75,9 +75,43 @@ var multi = []string{"..", "<=", ">=", "<>", "!=", "||"}
 
 // Lex tokenizes src. It returns an error for unterminated strings or
 // bytes outside the lexical grammar. Comments use SQL's "--" to end of
-// line and "/* */" blocks.
+// line and "/* */" blocks. A "?" is the parameter marker, a Punct token
+// the SQL parser turns into a parameter node; a "?" inside a string,
+// delimited identifier or comment is part of that token, never a marker.
 func Lex(src string) ([]Token, error) {
 	var toks []Token
+	if err := scan(src, func(t Token) { toks = append(toks, t) }); err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// Split cuts src at its ';' tokens into the texts of its statements,
+// trimmed, skipping empty ones; a ';' inside a string, delimited
+// identifier or comment does not split. It fails where Lex fails, and
+// keeps no tokens.
+func Split(src string) ([]string, error) {
+	var out []string
+	start := -1 // offset of the current statement's first token
+	err := scan(src, func(t Token) {
+		switch {
+		case t.Kind == EOF || t.IsPunct(";"):
+			if start >= 0 {
+				out = append(out, strings.TrimSpace(src[start:t.Pos]))
+			}
+			start = -1
+		case start < 0:
+			start = t.Pos
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// scan hands each token of src to emit, EOF last.
+func scan(src string, emit func(Token)) error {
 	i, n := 0, len(src)
 	for i < n {
 		c := src[i]
@@ -91,57 +125,57 @@ func Lex(src string) ([]Token, error) {
 		case c == '/' && i+1 < n && src[i+1] == '*':
 			end := strings.Index(src[i+2:], "*/")
 			if end < 0 {
-				return nil, fmt.Errorf("lex: unterminated block comment at offset %d", i)
+				return fmt.Errorf("lex: unterminated block comment at offset %d", i)
 			}
 			i += 2 + end + 2
 		case c == '\'':
 			s, next, err := lexString(src, i)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			toks = append(toks, Token{Kind: String, Text: s, Pos: i})
+			emit(Token{Kind: String, Text: s, Pos: i})
 			i = next
 		case c >= '0' && c <= '9':
 			start := i
 			i = lexNumber(src, i)
-			toks = append(toks, Token{Kind: Number, Text: src[start:i], Pos: start})
+			emit(Token{Kind: Number, Text: src[start:i], Pos: start})
 		case c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9':
 			start := i
 			i = lexNumber(src, i)
-			toks = append(toks, Token{Kind: Number, Text: src[start:i], Pos: start})
+			emit(Token{Kind: Number, Text: src[start:i], Pos: start})
 		case isIdentStart(rune(c)):
 			start := i
 			for i < n && isIdentPart(rune(src[i])) {
 				i++
 			}
-			toks = append(toks, Token{Kind: Ident, Text: src[start:i], Pos: start})
+			emit(Token{Kind: Ident, Text: src[start:i], Pos: start})
 		case c == '"':
 			// Delimited identifier: "Name" keeps its exact spelling.
 			end := strings.IndexByte(src[i+1:], '"')
 			if end < 0 {
-				return nil, fmt.Errorf("lex: unterminated delimited identifier at offset %d", i)
+				return fmt.Errorf("lex: unterminated delimited identifier at offset %d", i)
 			}
 			if end == 0 {
-				return nil, fmt.Errorf("lex: empty delimited identifier at offset %d", i)
+				return fmt.Errorf("lex: empty delimited identifier at offset %d", i)
 			}
-			toks = append(toks, Token{Kind: Ident, Text: src[i+1 : i+1+end], Pos: i})
+			emit(Token{Kind: Ident, Text: src[i+1 : i+1+end], Pos: i})
 			i += end + 2
 		default:
 			if op, ok := matchMulti(src[i:]); ok {
-				toks = append(toks, Token{Kind: Punct, Text: op, Pos: i})
+				emit(Token{Kind: Punct, Text: op, Pos: i})
 				i += len(op)
 				break
 			}
-			if strings.IndexByte("(),.;*=<>+-/:%", c) >= 0 {
-				toks = append(toks, Token{Kind: Punct, Text: string(c), Pos: i})
+			if strings.IndexByte("(),.;*=<>+-/:%?", c) >= 0 {
+				emit(Token{Kind: Punct, Text: string(c), Pos: i})
 				i++
 				break
 			}
-			return nil, fmt.Errorf("lex: unexpected character %q at offset %d", c, i)
+			return fmt.Errorf("lex: unexpected character %q at offset %d", c, i)
 		}
 	}
-	toks = append(toks, Token{Kind: EOF, Pos: n})
-	return toks, nil
+	emit(Token{Kind: EOF, Pos: n})
+	return nil
 }
 
 func matchMulti(s string) (string, bool) {

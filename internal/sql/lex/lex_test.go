@@ -127,8 +127,23 @@ func TestKeywordHelpers(t *testing.T) {
 }
 
 func TestBadInput(t *testing.T) {
-	if _, err := Lex("a ? b"); err == nil {
-		t.Error("? must be rejected")
+	if _, err := Lex("a @ b"); err == nil {
+		t.Error("@ must be rejected")
+	}
+}
+
+// TestParamMarker: a bare ? is one Punct token; inside a string, a
+// delimited identifier or a comment it belongs to that token.
+func TestParamMarker(t *testing.T) {
+	toks, err := Lex("a = ? AND b = '?' -- ?\n/* ? */ \"?\"")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := texts(toks); got != "a|=|?|AND|b|=|?|?" {
+		t.Fatalf("got %s", got)
+	}
+	if !toks[2].IsPunct("?") || toks[6].Kind != String || toks[7].Kind != Ident {
+		t.Fatalf("kinds = %v %v %v", toks[2].Kind, toks[6].Kind, toks[7].Kind)
 	}
 }
 
@@ -151,5 +166,32 @@ func TestEOFAlwaysLast(t *testing.T) {
 		if len(toks) == 0 || toks[len(toks)-1].Kind != EOF {
 			t.Errorf("%q: missing EOF", in)
 		}
+	}
+}
+
+// TestSplit: statements end at ';' tokens only, so a ';' in a string,
+// delimited identifier or comment does not split, and a trailing ';'
+// or comment adds no statement.
+func TestSplit(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"CREATE TABLE t (a INT); INSERT INTO t VALUES (1)", []string{"CREATE TABLE t (a INT)", "INSERT INTO t VALUES (1)"}},
+		{"SELECT * FROM t;", []string{"SELECT * FROM t"}},
+		{"SELECT * FROM t; -- done", []string{"SELECT * FROM t"}},
+		{"INSERT INTO t VALUES (?); INSERT INTO t VALUES (?)", []string{"INSERT INTO t VALUES (?)", "INSERT INTO t VALUES (?)"}},
+		{"SELECT ';', \"a;b\" /* ; */ FROM t -- ;\n", []string{"SELECT ';', \"a;b\" /* ; */ FROM t -- ;"}},
+		{";;", nil},
+		{"", nil},
+	}
+	for _, c := range cases {
+		got, err := Split(c.in)
+		if err != nil || strings.Join(got, "|") != strings.Join(c.want, "|") {
+			t.Errorf("Split(%q) = %q, %v; want %q", c.in, got, err, c.want)
+		}
+	}
+	if _, err := Split("SELECT 'open"); err == nil {
+		t.Error("Split must fail where Lex fails")
 	}
 }

@@ -262,8 +262,17 @@ type CaseExpr struct {
 	Pos     int
 }
 
+// Param is a "?" parameter marker. N is its 1-based ordinal in the text
+// the parser read (a script numbers across its statements); the
+// executor reads the N-th argument bound to the execution.
+type Param struct {
+	N   int
+	Pos int
+}
+
 func (*ColumnRef) expr()      {}
 func (*Literal) expr()        {}
+func (*Param) expr()          {}
 func (*BinaryExpr) expr()     {}
 func (*NotExpr) expr()        {}
 func (*NegExpr) expr()        {}
@@ -280,6 +289,7 @@ func (*CaseExpr) expr()       {}
 
 func (c *ColumnRef) SrcPos() int      { return c.Pos }
 func (l *Literal) SrcPos() int        { return l.Pos }
+func (p *Param) SrcPos() int          { return p.Pos }
 func (b *BinaryExpr) SrcPos() int     { return b.Pos }
 func (n *NotExpr) SrcPos() int        { return n.Pos }
 func (n *NegExpr) SrcPos() int        { return n.Pos }
@@ -582,6 +592,7 @@ func (c *ColumnRef) SQL() string {
 }
 
 func (l *Literal) SQL() string { return l.Val.SQL() }
+func (*Param) SQL() string     { return "?" }
 
 func (b *BinaryExpr) SQL() string {
 	return "(" + b.L.SQL() + " " + b.Op.String() + " " + b.R.SQL() + ")"

@@ -27,12 +27,14 @@ func FuzzParse(f *testing.F) {
 		"SELECT -a + 2 * (b - 3) / 4 || 'tail' FROM t",
 		"SELECT DATE '1995-12-17' FROM t",
 		"CREATE SEQUENCE s; DROP SEQUENCE s; DROP VIEW v; DROP TABLE t",
+		"SELECT a, '?' FROM t /* ? */ WHERE a = ? AND b IN (?, -?) -- ?",
+		"INSERT INTO t VALUES (?, ?); UPDATE t SET a = ? WHERE b = ?",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		sts, err := ParseScript(src)
+		sts, _, err := ParseScript(src)
 		if err != nil {
 			return
 		}
@@ -52,7 +54,7 @@ func FuzzParse(f *testing.F) {
 // FuzzLex checks the lexer never panics and that token positions stay
 // within bounds and non-decreasing.
 func FuzzLex(f *testing.F) {
-	for _, s := range []string{"", "a 1 'x' \"q\" <= .. -- c\n/* b */", "1..n item AS BODY", "'unterminated"} {
+	for _, s := range []string{"", "a 1 'x' \"q\" <= .. -- c\n/* b */", "1..n item AS BODY", "'unterminated", "a = ? AND '?' -- ?\n\"?\" ?;?"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -11,41 +11,50 @@ import (
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
+	st, _, err := ParseParams(src)
+	return st, err
+}
+
+// ParseParams is Parse that also reports how many ? parameters the
+// statement holds; their Param ordinals are 1..n in text order.
+func ParseParams(src string) (Statement, int, error) {
 	p, err := newParser(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	st, err := p.statement()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.accept(";")
 	if !p.atEOF() {
-		return nil, p.errf("unexpected %s after statement", p.peek())
+		return nil, 0, p.errf("unexpected %s after statement", p.peek())
 	}
-	return st, nil
+	return st, p.params, nil
 }
 
-// ParseScript parses a semicolon-separated sequence of statements.
-func ParseScript(src string) ([]Statement, error) {
+// ParseScript parses a semicolon-separated sequence of statements and
+// reports how many ? parameters they hold. Ordinals continue across the
+// statements, so one argument list binds the whole script.
+func ParseScript(src string) ([]Statement, int, error) {
 	p, err := newParser(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var out []Statement
 	for !p.atEOF() {
 		st, err := p.statement()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out = append(out, st)
 		if !p.accept(";") && !p.atEOF() {
-			return nil, p.errf("expected ';' between statements, got %s", p.peek())
+			return nil, 0, p.errf("expected ';' between statements, got %s", p.peek())
 		}
 		for p.accept(";") {
 		}
 	}
-	return out, nil
+	return out, p.params, nil
 }
 
 // ParseExpr parses a standalone expression (used by the MINE RULE
@@ -75,6 +84,10 @@ type parser struct {
 	pos   int
 	src   string
 	depth int
+	// params counts the ? markers read so far; inView is set while a
+	// CREATE VIEW body is parsed, where no value could ever be bound.
+	params int
+	inView bool
 }
 
 // enter tracks recursion depth; callers must pair it with leave.
@@ -707,7 +720,9 @@ func (p *parser) createStmt() (Statement, error) {
 			return nil, err
 		}
 		paren := p.accept("(")
+		p.inView = true
 		sub, err := p.selectStmt()
+		p.inView = false
 		if err != nil {
 			return nil, err
 		}
@@ -1054,6 +1069,14 @@ func (p *parser) primary() (Expr, error) {
 		p.next()
 		return &Literal{Val: value.NewString(t.Text), Pos: t.Pos}, nil
 	case lex.Punct:
+		if t.Text == "?" {
+			if p.inView {
+				return nil, p.errf("parameter ? in a view body: a view stores text, so no value can be bound")
+			}
+			p.next()
+			p.params++
+			return &Param{N: p.params, Pos: t.Pos}, nil
+		}
 		if t.Text == "(" {
 			p.next()
 			if p.peek().IsKeyword("select") {

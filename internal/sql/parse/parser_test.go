@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -255,7 +256,7 @@ func TestDerivedTable(t *testing.T) {
 }
 
 func TestParseScript(t *testing.T) {
-	sts, err := ParseScript("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1);; SELECT a FROM t;")
+	sts, _, err := ParseScript("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1);; SELECT a FROM t;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,5 +349,62 @@ func TestDepthLimit(t *testing.T) {
 	// Depth resets between statements.
 	if _, err := Parse("SELECT " + ok); err != nil {
 		t.Fatalf("fresh parse after deep failure: %v", err)
+	}
+}
+
+// TestParams pins where ? is a parameter and how parameters are
+// numbered: a ? inside a string, a delimited identifier or a comment
+// is part of that token, and a script numbers across its statements.
+func TestParams(t *testing.T) {
+	cases := []struct {
+		sql string
+		n   int
+	}{
+		{"SELECT * FROM t", 0},
+		{"SELECT * FROM t WHERE a = ? AND b = ?", 2},
+		{"SELECT '?' FROM t", 0},
+		{"SELECT 'it''s ?' FROM t WHERE x = ?", 1},
+		{`SELECT "?" FROM t`, 0},
+		{"SELECT * FROM t -- trailing ? comment", 0},
+		{"SELECT * /* block ? comment */ FROM t WHERE a = ?", 1},
+		{"SELECT * FROM t;", 0}, // trailing semicolon, one statement
+		{"SELECT * FROM t; -- done", 0},
+		{"INSERT INTO t VALUES (?, -?, ? + 1)", 3},
+	}
+	for _, c := range cases {
+		_, n, err := ParseParams(c.sql)
+		if err != nil || n != c.n {
+			t.Errorf("ParseParams(%q) = %d, %v; want %d parameters", c.sql, n, err, c.n)
+		}
+	}
+
+	sts, n, err := ParseScript("INSERT INTO t VALUES (?); INSERT INTO t VALUES (?)")
+	if err != nil || n != 2 || len(sts) != 2 {
+		t.Fatalf("script: %d statements, %d parameters, %v; want 2, 2", len(sts), n, err)
+	}
+	for i, st := range sts {
+		p := st.(*Insert).Rows[0][0].(*Param)
+		if p.N != i+1 || p.SQL() != "?" {
+			t.Errorf("statement %d: parameter %d rendered %q, want ordinal %d", i, p.N, p.SQL(), i+1)
+		}
+	}
+}
+
+// TestParamRejected: where no value can be bound — a view body stores
+// text, and LIMIT, OFFSET and a type length take literals — ? fails at
+// parse time with the offset of the marker.
+func TestParamRejected(t *testing.T) {
+	for _, src := range []string{
+		"CREATE VIEW v AS SELECT a FROM t WHERE a = ?",
+		"CREATE VIEW v AS (SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE b > ?))",
+		"SELECT a FROM t LIMIT ?",
+		"SELECT a FROM t LIMIT 1 OFFSET ?",
+		"CREATE TABLE t (a VARCHAR(?))",
+	} {
+		_, err := Parse(src)
+		want := "(at offset " + strconv.Itoa(strings.LastIndex(src, "?")) + ")"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want an error %s", src, err, want)
+		}
 	}
 }

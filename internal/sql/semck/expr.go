@@ -40,7 +40,7 @@ func (c *checker) compiles(sc *scope, e parse.Expr) bool {
 	switch x := e.(type) {
 	case nil:
 		return true
-	case *parse.Literal:
+	case *parse.Literal, *parse.Param:
 		return true
 	case *parse.ColumnRef:
 		_, err := c.resolveRef(sc, x)
@@ -174,6 +174,10 @@ func (c *checker) typeOf(sc *scope, e parse.Expr, aggOK bool) (value.Type, error
 	switch x := e.(type) {
 	case *parse.Literal:
 		return x.Val.Type(), nil
+
+	case *parse.Param:
+		// Bound at execution: statically unknown, like a NULL literal.
+		return value.TypeNull, nil
 
 	case *parse.ColumnRef:
 		t, err := c.resolveRef(sc, x)

@@ -414,9 +414,9 @@ func WithTrace() Option {
 
 // WithReuseEncoded skips the preprocessing phase when a previous
 // WithKeepEncoded run of an equivalent statement (same shape, support
-// no lower than before) left its encoded tables in the database. The
-// source must not have changed in between — the kernel cannot detect
-// that; drop the mr_* tables (or run without reuse) to invalidate.
+// no lower than before) left its encoded tables in the database. Reuse
+// is refused, and the run preprocesses afresh, when a source table was
+// written, dropped or re-created since, or when a source is a view.
 func WithReuseEncoded() Option {
 	return func(o *core.Options) { o.ReuseEncoded = true }
 }
