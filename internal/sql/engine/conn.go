@@ -324,9 +324,7 @@ func (db *Database) execStatement(ctx context.Context, tx *txn.Txn, auto bool, s
 // Pooling keeps the autocommit fast path allocation-free and lets a
 // runtime's view-plan and join-order caches survive across statements.
 func (db *Database) getRuntime() *exec.Runtime {
-	rt := db.rtPool.Get().(*exec.Runtime)
-	rt.RowMode(db.rowMode.Load())
-	return rt
+	return db.rtPool.Get().(*exec.Runtime)
 }
 
 func (db *Database) putRuntime(rt *exec.Runtime) {

@@ -51,9 +51,6 @@ type Database struct {
 	// concurrent statements never share bind-time state, and a pooled
 	// runtime keeps its view-plan and join-order caches warm.
 	rtPool sync.Pool
-	// rowMode selects the row-at-a-time reference executor for
-	// subsequently executed statements (differential-testing oracle).
-	rowMode atomic.Bool
 	// defLimits is the engine-wide default statement bounds, replaced
 	// atomically by SetLimits so configuring limits never races running
 	// statements (which copy it at statement start).
@@ -189,13 +186,6 @@ func (db *Database) effLimits(ctx context.Context) resource.Limits {
 	}
 	return db.Limits()
 }
-
-// RowMode switches the executor between the batched default (off) and
-// the row-at-a-time reference operators (on) for statements executed
-// from here on. The reference path is the oracle for differential
-// testing and the fallback should the batched pipeline ever need to be
-// bypassed.
-func (db *Database) RowMode(on bool) { db.rowMode.Store(on) }
 
 // SetExecHook installs (or, with nil, removes) a pre-statement hook used
 // by fault-injection tests; the hook receives each statement's SQL text

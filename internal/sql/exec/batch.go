@@ -1,17 +1,12 @@
 package exec
 
-// batch.go implements the batched (vectorized) execution path: rows
-// flow between operators in windows of up to batchSize instead of one
-// at a time, output rows are carved out of arena blocks instead of
+// batch.go implements the executor's batched (vectorized) pipeline:
+// rows flow between operators in windows of up to batchSize instead of
+// one at a time, output rows are carved out of arena blocks instead of
 // allocated individually, and group/join keys build into one reused
-// buffer on the value.AppendKey paths and intern in a keyTable.
-//
-// The row-at-a-time operators in select.go remain as the reference
-// implementation: Runtime.rowMode switches the executor back to them,
-// which is both the compatibility shim for untouched operators
-// (set operations, subqueries, ORDER BY run row-at-a-time over
-// materialized batches) and the oracle for the differential
-// batched-vs-row property suite.
+// buffer on the value.AppendKey paths and intern in a keyTable. ORDER
+// BY, set operations and subquery results work on materialized
+// relations, which materialize drains a pipeline into.
 
 import (
 	"time"
@@ -165,10 +160,9 @@ func (s *sliceSource) NextBatch() (*batch, error) {
 	return &s.b, nil
 }
 
-// materialize drains a batchSource into a relation — the compatibility
-// shim that lets row-at-a-time operators (ORDER BY, set operations,
-// subquery results) consume batched pipelines. An unconsumed
-// sliceSource unwraps without copying.
+// materialize drains a batchSource into a relation, for the operators
+// that need every row at once (ORDER BY, set operations, subquery
+// results). An unconsumed sliceSource unwraps without copying.
 func materialize(src batchSource) (*relation, error) {
 	if ss, ok := src.(*sliceSource); ok && ss.pos == 0 {
 		return &relation{schema: ss.sch, rows: ss.rows}, nil

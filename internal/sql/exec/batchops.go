@@ -18,8 +18,7 @@ import (
 )
 
 // collectAggregates walks the projection and HAVING for aggregate calls,
-// returning them in first-appearance order with their slot map. Shared
-// by the row-mode and batched GROUP BY implementations.
+// returning them in first-appearance order with their slot map.
 func collectAggregates(s *parse.Select, items []projItem) ([]*parse.FuncCall, map[*parse.FuncCall]int) {
 	var aggNodes []*parse.FuncCall
 	aggSlots := make(map[*parse.FuncCall]int)
@@ -49,12 +48,12 @@ func collectAggregates(s *parse.Select, items []projItem) ([]*parse.FuncCall, ma
 // ---------------------------------------------------------------------------
 // Projection
 
-// projectBatched evaluates the select list over a batched input,
+// project evaluates the select list over a batched input,
 // carving output rows from an arena; with distinct set it deduplicates
 // while appending (each candidate row evaluates into a reused scratch
 // row and only survivors are committed to the arena, so dropped
 // duplicates pin no memory).
-func (rt *Runtime) projectBatched(s *parse.Select, src batchSource, distinct bool) (*relation, error) {
+func (rt *Runtime) project(s *parse.Select, src batchSource, distinct bool) (*relation, error) {
 	sp, parent := rt.pushOp("project")
 	items, err := expandItems(s, src.Schema())
 	if err != nil {
@@ -152,7 +151,7 @@ func (rt *Runtime) projectBatched(s *parse.Select, src batchSource, distinct boo
 	rt.popOp(sp, parent)
 	if distinct {
 		// The dedup ran inline, but DISTINCT keeps its own plan node so
-		// EXPLAIN shows the same operator chain as the row-mode path.
+		// EXPLAIN shows it as a step, as it does after GROUP BY.
 		dsp, dparent := rt.pushOp("distinct")
 		if dsp != nil {
 			dsp.SetInt("rows_in", rowsIn)
@@ -166,10 +165,9 @@ func (rt *Runtime) projectBatched(s *parse.Select, src batchSource, distinct boo
 // ---------------------------------------------------------------------------
 // Streaming GROUP BY
 
-// aggAcc is one aggregate's running state within one group. The
-// batched GROUP BY accumulates each input row exactly once instead of
-// materializing per-group row lists and re-iterating them per
-// aggregate (the row-mode computeAggregate approach).
+// aggAcc is one aggregate's running state within one group. GROUP BY
+// folds each input row in exactly once, so no per-group row list is
+// ever materialized.
 type aggAcc struct {
 	count  int64 // non-NULL (post-DISTINCT) values accumulated
 	isum   int64
@@ -179,8 +177,8 @@ type aggAcc struct {
 	have   bool
 }
 
-// accumulate folds one argument value into the accumulator, mirroring
-// computeAggregate's per-group semantics value for value. A DISTINCT
+// accumulate folds one argument value into the accumulator; NULLs are
+// skipped, as every aggregate but COUNT(*) skips them. A DISTINCT
 // aggregate's values seen so far are the keys of seen that start with
 // the group's id gid.
 func (acc *aggAcc) accumulate(a *parse.FuncCall, v value.Value, seen *keyTable, gid int32, keyBuf *[]byte) error {
@@ -259,19 +257,19 @@ func (acc *aggAcc) finalize(a *parse.FuncCall, n int64) value.Value {
 
 // groupState is one group's accumulated state: its representative row
 // (the first seen — non-aggregate projections and HAVING evaluate over
-// it, as in row mode) plus one accumulator per aggregate node.
+// it) plus one accumulator per aggregate node.
 type groupState struct {
 	rep  schema.Row
 	n    int64
 	accs []aggAcc
 }
 
-// groupBatched implements GROUP BY / HAVING / aggregate projection over
+// group implements GROUP BY / HAVING / aggregate projection over
 // a batched input with streaming accumulators. Group keys intern in a
 // keyTable, whose ids index the group states; the states are carved
 // from pooled blocks so a query with many groups does not allocate per
 // group.
-func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, error) {
+func (rt *Runtime) group(s *parse.Select, src batchSource) (*relation, error) {
 	sp, parent := rt.pushOp("group")
 	defer rt.popOp(sp, parent)
 	in := src.Schema()
@@ -474,18 +472,18 @@ func (rt *Runtime) groupBatched(s *parse.Select, src batchSource) (*relation, er
 }
 
 // ---------------------------------------------------------------------------
-// Batched hash join and cartesian product
+// Hash join and cartesian product
 
 // keyPair is one equi-join key: column ordinals into the left and right
 // schemas.
 type keyPair struct{ l, r int }
 
-// hashJoinBatched joins left and right on the given equi-key pairs,
+// hashJoin joins left and right on the given equi-key pairs,
 // building the hash table on the smaller input (whichever side it is)
 // and probing the larger in batches. Output columns stay in
 // left-then-right order regardless of build side; output rows carve
 // from an arena.
-func (rt *Runtime) hashJoinBatched(left, right *relation, keys []keyPair) ([]schema.Row, string, error) {
+func (rt *Runtime) hashJoin(left, right *relation, keys []keyPair) ([]schema.Row, string, error) {
 	buildRel, probeRel := right, left
 	buildSide := "right"
 	if len(left.rows) < len(right.rows) {
@@ -730,9 +728,9 @@ func (s *hashJoinSource) finish() {
 	s.sp.SetDuration(s.spent)
 }
 
-// cartesianBatched is the no-equi-key fallback with arena output and
+// cartesian is the no-equi-key fallback with arena output and
 // batch-granular accounting.
-func (rt *Runtime) cartesianBatched(left, right *relation) ([]schema.Row, error) {
+func (rt *Runtime) cartesian(left, right *relation) ([]schema.Row, error) {
 	lw := left.schema.Len()
 	w := lw + right.schema.Len()
 	var arena rowArena

@@ -17,8 +17,8 @@ var errKeyTableFull = errors.New("exec: hash table exceeds 2^31-1 keys or 4 GiB 
 // schema.Row.AppendKey and appendJoinKey) as dense int32 ids in first-seen
 // order: the one hash table behind the batched DISTINCT, COUNT(DISTINCT),
 // GROUP BY, hash joins and set operations. Two keys are the same key iff
-// their bytes are equal, exactly as with the map[string] keys the
-// row-mode operators use.
+// their bytes are equal, exactly as with a map[string] over the same
+// bytes.
 //
 // The keys live back to back in one byte arena, and the open-addressed
 // slot array holds ids, not pointers: the table allocates only when one

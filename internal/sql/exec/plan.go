@@ -44,15 +44,14 @@ const maxFromPlans = 256
 
 // planFromOrder returns the order in which the FROM elements should
 // join, as indices into elems. Two-element lists stay in written order
-// (the hash join already builds on the smaller side); row mode always
-// stays in written order, keeping the reference path pristine.
+// (the hash join already builds on the smaller side).
 func (rt *Runtime) planFromOrder(s *parse.Select, elems []fromElem, conjuncts []parse.Expr, used []bool) []int {
 	n := len(elems)
 	identity := make([]int, n)
 	for i := range identity {
 		identity[i] = i
 	}
-	if rt.rowMode || n < 3 {
+	if n < 3 {
 		return identity
 	}
 	total := 0

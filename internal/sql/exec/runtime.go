@@ -60,20 +60,11 @@ type Runtime struct {
 	// single-threaded by contract (see execSelectEnv).
 	viewPlans map[string]viewPlan
 
-	// rowMode forces the row-at-a-time reference operators instead of
-	// the batched path (see batch.go) — the oracle for the differential
-	// suite and the compatibility baseline.
-	rowMode bool
-
 	// fromPlans caches cost-based FROM-list join orders per SELECT node
 	// (statement-cache pointers are stable); entries are valid only
 	// while catalog version and stats epoch both still match.
 	fromPlans map[*parse.Select]fromPlan
 }
-
-// RowMode switches the runtime to the row-at-a-time reference
-// executor. The batched path is the default.
-func (rt *Runtime) RowMode(on bool) { rt.rowMode = on }
 
 // viewPlan is one cached view resolution.
 type viewPlan struct {

@@ -11,15 +11,13 @@ import (
 )
 
 // run executes one statement inside tx on a fresh runtime.
-func run(t *testing.T, tx *txn.Txn, rowMode bool, sql string) *Result {
+func run(t *testing.T, tx *txn.Txn, sql string) *Result {
 	t.Helper()
 	st, err := parse.Parse(sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	rt := &Runtime{Txn: tx}
-	rt.RowMode(rowMode)
-	res, err := rt.ExecContext(context.Background(), st)
+	res, err := (&Runtime{Txn: tx}).ExecContext(context.Background(), st)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -27,10 +25,10 @@ func run(t *testing.T, tx *txn.Txn, rowMode bool, sql string) *Result {
 }
 
 // column reads t.a in order as tx sees it.
-func column(t *testing.T, tx *txn.Txn, rowMode bool) string {
+func column(t *testing.T, tx *txn.Txn) string {
 	t.Helper()
 	var out []int64
-	for _, r := range run(t, tx, rowMode, "SELECT a FROM t ORDER BY a").Rows {
+	for _, r := range run(t, tx, "SELECT a FROM t ORDER BY a").Rows {
 		out = append(out, r[0].Int())
 	}
 	return fmt.Sprint(out)
@@ -39,7 +37,7 @@ func column(t *testing.T, tx *txn.Txn, rowMode bool) string {
 // TestRuntimeWritesThroughTxn drives the executor's write statements
 // over a bare txn.Manager, no engine: each one must be visible to its
 // own transaction at once, invisible to a concurrent one, and visible to
-// every transaction after commit — on both executors.
+// every transaction after commit.
 func TestRuntimeWritesThroughTxn(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -54,40 +52,38 @@ func TestRuntimeWritesThroughTxn(t *testing.T) {
 		{"delete all", "DELETE FROM t", 3, "[]"},
 	}
 	ctx := context.Background()
-	for _, rowMode := range []bool{false, true} {
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/rowmode=%v", tc.name, rowMode), func(t *testing.T) {
-				m := txn.NewManager(storage.NewCatalog(), nil, nil, 0)
-				setup := m.Begin()
-				run(t, setup, rowMode, "CREATE TABLE t (a INTEGER)")
-				run(t, setup, rowMode, "INSERT INTO t VALUES (3), (1), (2)")
-				if err := setup.Commit(ctx); err != nil {
-					t.Fatal(err)
-				}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := txn.NewManager(storage.NewCatalog(), nil, nil, 0)
+			setup := m.Begin()
+			run(t, setup, "CREATE TABLE t (a INTEGER)")
+			run(t, setup, "INSERT INTO t VALUES (3), (1), (2)")
+			if err := setup.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-				tx := m.Begin()
-				if res := run(t, tx, rowMode, tc.stmt); res.RowsAffected != tc.affected {
-					t.Fatalf("RowsAffected = %d, want %d", res.RowsAffected, tc.affected)
-				}
-				if got := column(t, tx, rowMode); got != tc.want {
-					t.Fatalf("own transaction reads %s, want %s", got, tc.want)
-				}
-				other := m.Begin()
-				if got := column(t, other, rowMode); got != "[1 2 3]" {
-					t.Fatalf("concurrent transaction reads %s before commit", got)
-				}
-				other.Rollback()
-				if err := tx.Commit(ctx); err != nil {
-					t.Fatal(err)
-				}
+			tx := m.Begin()
+			if res := run(t, tx, tc.stmt); res.RowsAffected != tc.affected {
+				t.Fatalf("RowsAffected = %d, want %d", res.RowsAffected, tc.affected)
+			}
+			if got := column(t, tx); got != tc.want {
+				t.Fatalf("own transaction reads %s, want %s", got, tc.want)
+			}
+			other := m.Begin()
+			if got := column(t, other); got != "[1 2 3]" {
+				t.Fatalf("concurrent transaction reads %s before commit", got)
+			}
+			other.Rollback()
+			if err := tx.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-				after := m.Begin()
-				defer after.Rollback()
-				if got := column(t, after, rowMode); got != tc.want {
-					t.Fatalf("after commit reads %s, want %s", got, tc.want)
-				}
-			})
-		}
+			after := m.Begin()
+			defer after.Rollback()
+			if got := column(t, after); got != tc.want {
+				t.Fatalf("after commit reads %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -123,23 +123,14 @@ func combineSetOp(op parse.SetOp, left, right *relation) (*relation, error) {
 	return &relation{schema: left.schema, rows: rows}, nil
 }
 
-// execSelectCore evaluates one query specification (no set operations).
-// When allowPreSort is set and every ORDER BY key compiles against the
-// *input* schema of a plain (non-grouped, non-DISTINCT) query, the input
-// is sorted before projection and the second result reports true —
-// sort keys may then reference columns the projection drops.
+// execSelectCore evaluates one query specification (no set operations):
+// rows flow from the joined FROM relation through filter, then grouping
+// or projection, in batches (see batch.go). When allowPreSort is set and
+// every ORDER BY key compiles against the *input* schema of a plain
+// (non-grouped, non-DISTINCT) query, the input is sorted before
+// projection and the second result reports true — sort keys may then
+// reference columns the projection drops.
 func (rt *Runtime) execSelectCore(s *parse.Select, allowPreSort bool) (*relation, bool, error) {
-	if rt.rowMode {
-		return rt.execSelectCoreRow(s, allowPreSort)
-	}
-	return rt.execSelectCoreBatched(s, allowPreSort)
-}
-
-// execSelectCoreBatched is the default executor core: rows flow from
-// the joined FROM relation through filter, then grouping or projection,
-// in batches (see batch.go). ORDER BY and set operations still run
-// row-at-a-time over the materialized result.
-func (rt *Runtime) execSelectCoreBatched(s *parse.Select, allowPreSort bool) (*relation, bool, error) {
 	csp, cparent := rt.pushOp("select")
 	defer rt.popOp(csp, cparent)
 	src, remaining, err := rt.buildFrom(s)
@@ -157,7 +148,10 @@ func (rt *Runtime) execSelectCoreBatched(s *parse.Select, allowPreSort bool) (*r
 
 	grouped := len(s.GroupBy) > 0 || selectHasAggregate(s)
 
-	// Pre-sort needs a materialized relation; re-source it afterwards.
+	// SQL resolves ORDER BY names against the output columns first; only
+	// keys that cannot resolve there fall back to the input relation, so
+	// pre-sorting is attempted only when the output cannot satisfy the
+	// sort. It needs a materialized relation, re-sourced afterwards.
 	preSorted := false
 	if allowPreSort && !grouped && !s.Distinct && len(s.OrderBy) > 0 &&
 		!rt.canOrderByOutput(s, src.Schema()) && rt.canOrder(src.Schema(), s.OrderBy) {
@@ -178,7 +172,7 @@ func (rt *Runtime) execSelectCoreBatched(s *parse.Select, allowPreSort bool) (*r
 
 	var out *relation
 	if grouped {
-		out, err = rt.groupBatched(s, src)
+		out, err = rt.group(s, src)
 		if err != nil {
 			return nil, false, err
 		}
@@ -196,81 +190,11 @@ func (rt *Runtime) execSelectCoreBatched(s *parse.Select, allowPreSort bool) (*r
 		if s.Having != nil {
 			return nil, false, fmt.Errorf("exec: HAVING without GROUP BY or aggregates")
 		}
-		// projectBatched dedups inline when DISTINCT.
-		out, err = rt.projectBatched(s, src, s.Distinct)
+		// project dedups inline when DISTINCT.
+		out, err = rt.project(s, src, s.Distinct)
 		if err != nil {
 			return nil, false, err
 		}
-	}
-	csp.SetInt("rows", int64(len(out.rows)))
-	return out, preSorted, nil
-}
-
-// execSelectCoreRow is the row-at-a-time reference core, kept verbatim
-// as the oracle for the differential batched-vs-row suite.
-func (rt *Runtime) execSelectCoreRow(s *parse.Select, allowPreSort bool) (*relation, bool, error) {
-	csp, cparent := rt.pushOp("select")
-	defer rt.popOp(csp, cparent)
-	fromSrc, remaining, err := rt.buildFrom(s)
-	if err != nil {
-		return nil, false, err
-	}
-	// In row mode buildFrom never streams, so this unwraps without
-	// copying.
-	input, err := materialize(fromSrc)
-	if err != nil {
-		return nil, false, err
-	}
-	// Residual WHERE conjuncts not consumed by scans or joins.
-	if len(remaining) > 0 {
-		cond := conjoin(remaining)
-		input, err = rt.filter(input, cond)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-
-	grouped := len(s.GroupBy) > 0 || selectHasAggregate(s)
-
-	// SQL resolves ORDER BY names against the output columns first; only
-	// keys that cannot resolve there fall back to the input relation, so
-	// pre-sorting is attempted only when the output cannot satisfy the
-	// sort.
-	preSorted := false
-	if allowPreSort && !grouped && !s.Distinct && len(s.OrderBy) > 0 &&
-		!rt.canOrderByOutput(s, input.schema) && rt.canOrder(input.schema, s.OrderBy) {
-		ssp, sparent := rt.pushOp("sort")
-		if err := rt.orderBy(input, s.OrderBy); err != nil {
-			rt.popOp(ssp, sparent)
-			return nil, false, err
-		}
-		ssp.SetInt("rows", int64(len(input.rows)))
-		rt.popOp(ssp, sparent)
-		preSorted = true
-	}
-
-	var out *relation
-	if grouped {
-		out, err = rt.groupProject(s, input)
-	} else {
-		if s.Having != nil {
-			return nil, false, fmt.Errorf("exec: HAVING without GROUP BY or aggregates")
-		}
-		out, err = rt.project(s, input)
-	}
-	if err != nil {
-		return nil, false, err
-	}
-
-	if s.Distinct {
-		dsp, dparent := rt.pushOp("distinct")
-		n := len(out.rows)
-		out.rows = distinctRows(out.rows)
-		if dsp != nil {
-			dsp.SetInt("rows_in", int64(n))
-			dsp.SetInt("rows", int64(len(out.rows)))
-		}
-		rt.popOp(dsp, dparent)
 	}
 	csp.SetInt("rows", int64(len(out.rows)))
 	return out, preSorted, nil
@@ -352,7 +276,7 @@ func (rt *Runtime) buildFrom(s *parse.Select) (batchSource, []parse.Expr, error)
 
 	// Fetch statistics only when cost-based planning will actually run:
 	// three or more inputs whose combined size clears the planning floor.
-	if !rt.rowMode && len(elems) >= 3 {
+	if len(elems) >= 3 {
 		total := 0
 		for _, e := range elems {
 			total += len(e.rel.rows)
@@ -381,7 +305,7 @@ func (rt *Runtime) buildFrom(s *parse.Select) (batchSource, []parse.Expr, error)
 		// applyLocal would have filtered them. Requires canonical column
 		// order (no remap pass after the join).
 		last := n == len(order)-2
-		if last && !rt.rowMode && isIdentity(order) && len(keys) > 0 {
+		if last && isIdentity(order) && len(keys) > 0 {
 			src, err := rt.newHashJoinSource(cur, right, keys)
 			if err != nil {
 				return nil, nil, err
@@ -460,14 +384,14 @@ func (rt *Runtime) scanFor(tr parse.TableRef, conjuncts []parse.Expr, used []boo
 				default:
 					continue
 				}
-				// Cost gate (batched mode): a one-distinct-value index
+				// Cost gate: a one-distinct-value index
 				// cannot narrow the scan, so skip it. Everything with
 				// NDV >= 2 keeps the point lookup — on equality it is
 				// never worse than the full scan. Small tables skip the
 				// statistics consult entirely: the lookup is cheap either
 				// way and sketch maintenance would dominate.
 				var estRows int64 = -1
-				if !rt.rowMode && rt.Txn.Len(t) >= planRowsMin {
+				if rt.Txn.Len(t) >= planRowsMin {
 					st := rt.tableStats(t)
 					if st.Rows > 0 && st.Cols[ord].NDV <= 1 {
 						continue
@@ -627,10 +551,10 @@ func (rt *Runtime) explicitJoin(left, right *relation, j parse.JoinClause) (*rel
 
 	// Bucket the build side by the equi keys (single bucket when none).
 	// LEFT JOIN must probe from the left (unmatched left rows pad with
-	// NULLs); inner joins in batched mode build on the smaller input.
+	// NULLs); inner joins build on the smaller input.
 	buildRel, probeRel := right, left
 	buildIsLeft := false
-	if j.Kind != parse.LeftJoin && !rt.rowMode && len(left.rows) < len(right.rows) {
+	if j.Kind != parse.LeftJoin && len(left.rows) < len(right.rows) {
 		buildRel, probeRel = left, right
 		buildIsLeft = true
 	}
@@ -749,10 +673,8 @@ func (rt *Runtime) scanBase(tr parse.TableRef) (*relation, error) {
 			if sp, parent := rt.pushOp("scan"); sp != nil {
 				sp.SetStr("table", tr.Name)
 				sp.SetInt("rows", int64(len(rel.rows)))
-				if !rt.rowMode {
-					if st := t.CachedStats(); st != nil {
-						sp.SetInt("est_rows", st.Rows)
-					}
+				if st := t.CachedStats(); st != nil {
+					sp.SetInt("est_rows", st.Rows)
 				}
 				rt.popOp(sp, parent)
 			}
@@ -922,9 +844,10 @@ func (rt *Runtime) joinKeys(cur, right *relation, keys []keyPair) (*relation, er
 	sp, parent := rt.pushOp("join")
 	defer rt.popOp(sp, parent)
 
-	outSchema := cur.schema.Append(right.schema)
-	var out []schema.Row
-
+	var (
+		out []schema.Row
+		err error
+	)
 	if sp != nil {
 		sp.SetInt("rows_left", int64(len(cur.rows)))
 		sp.SetInt("rows_right", int64(len(right.rows)))
@@ -942,79 +865,24 @@ func (rt *Runtime) joinKeys(cur, right *relation, keys []keyPair) (*relation, er
 			sp.SetInt("est_rows", est)
 		}
 		rt.tracef("hash join on %d key(s): %d x %d row(s)", len(keys), len(cur.rows), len(right.rows))
-		if !rt.rowMode {
-			rows, buildSide, err := rt.hashJoinBatched(cur, right, keys)
-			if err != nil {
-				return nil, err
-			}
-			out = rows
-			if sp != nil {
-				sp.SetStr("build", buildSide)
-			}
-		} else {
-			// Hash join: build on the right side. One reused key buffer serves
-			// both phases; probe lookups never materialize a string.
-			build := make(map[string][]schema.Row, len(right.rows))
-			var kb []byte
-		buildLoop:
-			for _, r := range right.rows {
-				kb = kb[:0]
-				for _, k := range keys {
-					if r[k.r].IsNull() {
-						continue buildLoop // NULL never joins
-					}
-					kb = schema.AppendValueKey(kb, r[k.r])
-				}
-				build[string(kb)] = append(build[string(kb)], r)
-			}
-		probeLoop:
-			for _, l := range cur.rows {
-				kb = kb[:0]
-				for _, k := range keys {
-					if l[k.l].IsNull() {
-						continue probeLoop
-					}
-					kb = schema.AppendValueKey(kb, l[k.l])
-				}
-				for _, r := range build[string(kb)] {
-					if err := rt.charge(1); err != nil {
-						return nil, err
-					}
-					row := make(schema.Row, 0, len(l)+len(r))
-					row = append(row, l...)
-					row = append(row, r...)
-					out = append(out, row)
-				}
-			}
+		var buildSide string
+		out, buildSide, err = rt.hashJoin(cur, right, keys)
+		if err != nil {
+			return nil, err
 		}
+		sp.SetStr("build", buildSide)
 	} else {
 		sp.SetStr("strategy", "cartesian")
 		if sp != nil {
 			sp.SetInt("est_rows", int64(len(cur.rows))*int64(len(right.rows)))
 		}
 		rt.tracef("cartesian product: %d x %d row(s)", len(cur.rows), len(right.rows))
-		if !rt.rowMode {
-			rows, err := rt.cartesianBatched(cur, right)
-			if err != nil {
-				return nil, err
-			}
-			out = rows
-		} else {
-			for _, l := range cur.rows {
-				for _, r := range right.rows {
-					if err := rt.charge(1); err != nil {
-						return nil, err
-					}
-					row := make(schema.Row, 0, len(l)+len(r))
-					row = append(row, l...)
-					row = append(row, r...)
-					out = append(out, row)
-				}
-			}
+		if out, err = rt.cartesian(cur, right); err != nil {
+			return nil, err
 		}
 	}
 	sp.SetInt("rows", int64(len(out)))
-	return &relation{schema: outSchema, rows: out}, nil
+	return &relation{schema: cur.schema.Append(right.schema), rows: out}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,47 +936,6 @@ func expandItems(s *parse.Select, in *schema.Schema) ([]projItem, error) {
 	return items, nil
 }
 
-// project evaluates the select list over each input row (no grouping).
-func (rt *Runtime) project(s *parse.Select, in *relation) (*relation, error) {
-	sp, parent := rt.pushOp("project")
-	defer rt.popOp(sp, parent)
-	items, err := expandItems(s, in.schema)
-	if err != nil {
-		return nil, err
-	}
-	b := rt.bind(in.schema)
-	fns := make([]evalFunc, len(items))
-	for i, it := range items {
-		if it.ord >= 0 {
-			ord := it.ord
-			fns[i] = func(row schema.Row) (value.Value, error) { return row[ord], nil }
-			continue
-		}
-		f, err := b.compile(it.expr)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = f
-	}
-	outRows := make([]schema.Row, 0, len(in.rows))
-	for _, row := range in.rows {
-		if err := rt.charge(1); err != nil {
-			return nil, err
-		}
-		out := make(schema.Row, len(fns))
-		for i, f := range fns {
-			v, err := f(row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		outRows = append(outRows, out)
-	}
-	sp.SetInt("rows", int64(len(outRows)))
-	return &relation{schema: outputSchema(items, outRows), rows: outRows}, nil
-}
-
 // outputSchema derives column types from the first row when available;
 // column types of empty results default to the star-expansion types.
 func outputSchema(items []projItem, rows []schema.Row) *schema.Schema {
@@ -1129,259 +956,6 @@ func outputSchema(items []projItem, rows []schema.Row) *schema.Schema {
 		}
 	}
 	return schema.New("", cols...)
-}
-
-// ---------------------------------------------------------------------------
-// Grouping
-
-type group struct {
-	rows []schema.Row
-}
-
-// groupProject implements GROUP BY / HAVING / aggregate projection.
-// Non-aggregate select expressions are evaluated on the group's first
-// row, which is well-defined for expressions over the grouping columns
-// (the only forms the translator emits).
-func (rt *Runtime) groupProject(s *parse.Select, in *relation) (*relation, error) {
-	sp, parent := rt.pushOp("group")
-	defer rt.popOp(sp, parent)
-	items, err := expandItems(s, in.schema)
-	if err != nil {
-		return nil, err
-	}
-
-	// Collect aggregate nodes from the projection and HAVING.
-	var aggNodes []*parse.FuncCall
-	aggSlots := make(map[*parse.FuncCall]int)
-	collect := func(e parse.Expr) {
-		parse.WalkExprs(e, func(x parse.Expr) bool {
-			if f, ok := x.(*parse.FuncCall); ok && f.IsAggregate() {
-				if _, seen := aggSlots[f]; !seen {
-					aggSlots[f] = len(aggNodes)
-					aggNodes = append(aggNodes, f)
-				}
-				return false
-			}
-			return true
-		})
-	}
-	for _, it := range items {
-		if it.expr != nil {
-			collect(it.expr)
-		}
-	}
-	if s.Having != nil {
-		collect(s.Having)
-	}
-
-	// Group keys.
-	keyBind := rt.bind(in.schema)
-	keyFns := make([]evalFunc, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		f, err := keyBind.compile(g)
-		if err != nil {
-			return nil, err
-		}
-		keyFns[i] = f
-	}
-
-	groups := make(map[string]*group)
-	var order []string
-	kr := make(schema.Row, len(keyFns))
-	var kbuf []byte
-	for _, row := range in.rows {
-		if err := rt.charge(1); err != nil {
-			return nil, err
-		}
-		for i, f := range keyFns {
-			v, err := f(row)
-			if err != nil {
-				return nil, err
-			}
-			kr[i] = v
-		}
-		kbuf = kr.AppendKey(kbuf[:0])
-		g, ok := groups[string(kbuf)]
-		if !ok {
-			// Materialize the key string only for new groups.
-			k := string(kbuf)
-			g = &group{}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, row)
-	}
-	// Global aggregate over empty input still yields one group.
-	if len(s.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
-	}
-
-	// Compile aggregate argument expressions once.
-	aggArgFns := make([]evalFunc, len(aggNodes))
-	for i, a := range aggNodes {
-		if a.Star {
-			continue
-		}
-		if len(a.Args) != 1 {
-			return nil, &PosError{Err: fmt.Errorf("exec: %s takes one argument", a.Name), Off: a.Pos}
-		}
-		f, err := keyBind.compile(a.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		aggArgFns[i] = f
-	}
-
-	// Compile projection and HAVING against a binding that resolves
-	// aggregate calls through aggRow.
-	aggRow := make([]value.Value, len(aggNodes))
-	pb := rt.bind(in.schema)
-	pb.aggs = aggSlots
-	pb.aggRow = &aggRow
-	itemFns := make([]evalFunc, len(items))
-	for i, it := range items {
-		if it.ord >= 0 {
-			ord := it.ord
-			itemFns[i] = func(row schema.Row) (value.Value, error) { return row[ord], nil }
-			continue
-		}
-		f, err := pb.compile(it.expr)
-		if err != nil {
-			return nil, err
-		}
-		itemFns[i] = f
-	}
-	var havingFn evalFunc
-	if s.Having != nil {
-		f, err := pb.compile(s.Having)
-		if err != nil {
-			return nil, err
-		}
-		havingFn = f
-	}
-
-	nullRow := make(schema.Row, in.schema.Len())
-	var outRows []schema.Row
-	for _, k := range order {
-		g := groups[k]
-		for i, a := range aggNodes {
-			v, err := computeAggregate(a, aggArgFns[i], g.rows)
-			if err != nil {
-				return nil, err
-			}
-			aggRow[i] = v
-		}
-		rep := nullRow
-		if len(g.rows) > 0 {
-			rep = g.rows[0]
-		}
-		if havingFn != nil {
-			hv, err := havingFn(rep)
-			if err != nil {
-				return nil, err
-			}
-			t, err := value.TristateFromValue(hv)
-			if err != nil {
-				return nil, err
-			}
-			if t != value.True {
-				continue
-			}
-		}
-		out := make(schema.Row, len(itemFns))
-		for i, f := range itemFns {
-			v, err := f(rep)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		outRows = append(outRows, out)
-	}
-	if sp != nil {
-		sp.SetInt("groups", int64(len(order)))
-		sp.SetInt("rows", int64(len(outRows)))
-	}
-	return &relation{schema: outputSchema(items, outRows), rows: outRows}, nil
-}
-
-// computeAggregate evaluates one aggregate call over a group.
-func computeAggregate(a *parse.FuncCall, argFn evalFunc, rows []schema.Row) (value.Value, error) {
-	if a.Star { // COUNT(*)
-		return value.NewInt(int64(len(rows))), nil
-	}
-	var (
-		vals []value.Value
-		seen map[string]bool
-		buf  []byte
-	)
-	if a.Distinct {
-		seen = make(map[string]bool)
-	}
-	for _, r := range rows {
-		v, err := argFn(r)
-		if err != nil {
-			return value.Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if a.Distinct {
-			buf = v.AppendKey(buf[:0])
-			if seen[string(buf)] {
-				continue
-			}
-			seen[string(buf)] = true
-		}
-		vals = append(vals, v)
-	}
-	switch a.Name {
-	case "COUNT":
-		return value.NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return value.Null, nil
-		}
-		allInt := true
-		var fsum float64
-		var isum int64
-		for _, v := range vals {
-			if !v.Type().Numeric() {
-				return value.Null, fmt.Errorf("exec: %s over %s", a.Name, v.Type())
-			}
-			if v.Type() != value.TypeInt {
-				allInt = false
-			}
-			fsum += v.Float()
-			if v.Type() == value.TypeInt {
-				isum += v.Int()
-			}
-		}
-		if a.Name == "AVG" {
-			return value.NewFloat(fsum / float64(len(vals))), nil
-		}
-		if allInt {
-			return value.NewInt(isum), nil
-		}
-		return value.NewFloat(fsum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return value.Null, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := value.Compare(v, best)
-			if err != nil {
-				return value.Null, err
-			}
-			if (a.Name == "MIN" && c < 0) || (a.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return value.Null, fmt.Errorf("exec: unknown aggregate %s", a.Name)
 }
 
 // ---------------------------------------------------------------------------

@@ -187,3 +187,54 @@ func TestRunExplainSQL(t *testing.T) {
 		t.Errorf("plan missing:\n%s", body)
 	}
 }
+
+// TestRunCapsByGrammar: the 500-row browser cap applies exactly when
+// the query has no LIMIT clause, whatever words its text contains, and
+// EXPLAIN counts only as a keyword of its own.
+func TestRunCapsByGrammar(t *testing.T) {
+	s, sys := newServer(t)
+	if err := sys.ExecScript(`
+		CREATE TABLE N (limit_id INTEGER, c VARCHAR);
+		INSERT INTO N VALUES (1, 'a'), (2, 'a'), (3, 'a'), (4, 'a'), (5, 'a'),
+			(6, 'a'), (7, 'a'), (8, 'a'), (9, 'a'), (10, 'a'), (11, 'a'), (12, 'a'),
+			(13, 'a'), (14, 'a'), (15, 'a'), (16, 'a'), (17, 'a'), (18, 'a'),
+			(19, 'a'), (20, 'a'), (21, 'a'), (22, 'a'), (23, 'a'), (24, 'a'),
+			(25, 'a'), (26, 'a'), (27, 'a'), (28, 'a'), (29, 'a'), (30, 'a');
+	`); err != nil {
+		t.Fatal(err)
+	}
+	// N x N has 900 rows.
+	for _, tc := range []struct{ stmt, want string }{
+		{"SELECT x.limit_id FROM N x, N y", "500 row(s)"},
+		{"SELECT x.c FROM N x, N y WHERE x.c <> 'no limit'", "500 row(s)"},
+		{"SELECT x.c FROM N x, N y;", "500 row(s)"},
+		{"SELECT x.c FROM N x, N y -- no cap asked", "500 row(s)"},
+		{"SELECT x.c FROM N x, N y LIMIT 600", "600 row(s)"},
+		{"select x.c from N x, N y limit 10 offset 895", "5 row(s)"},
+	} {
+		code, body := post(t, s, tc.stmt)
+		if code != http.StatusOK || !strings.Contains(body, `<p class="meta">`+tc.want) {
+			t.Errorf("%s: want %q, got %d %s", tc.stmt, tc.want, code, outcome(body))
+		}
+	}
+
+	_, body := post(t, s, "EXPLAINSELECT COUNT(*) FROM P")
+	if strings.Contains(body, "result:") || !strings.Contains(body, `class="err"`) {
+		t.Errorf("EXPLAINSELECT ran as EXPLAIN: %s", outcome(body))
+	}
+	_, body = post(t, s, "explain select COUNT(*) from P")
+	if !strings.Contains(body, "result:") {
+		t.Errorf("lower-case EXPLAIN shows no plan: %s", outcome(body))
+	}
+}
+
+// outcome extracts the paragraph a statement's run renders below the
+// form: its error or its info line.
+func outcome(body string) string {
+	_, after, _ := strings.Cut(body, "</form>")
+	if _, p, ok := strings.Cut(after, "<p class="); ok {
+		p, _, _ = strings.Cut(p, "</p>")
+		return p
+	}
+	return "nothing"
+}
