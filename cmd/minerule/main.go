@@ -34,39 +34,20 @@ func main() {
 		hdr     = flag.String("hdr", "", "CSV header spec: name:type,name:type,…")
 		replace = flag.Bool("replace", true, "MINE RULE replaces existing output tables")
 		trace   = flag.Bool("trace", false, "print the kernel span tree after each MINE RULE run")
-		load    = flag.String("load", "", "load a database directory saved with -save")
-		save    = flag.String("save", "", "save the database to this directory on exit")
 		dbDir   = flag.String("db", "", "durable database directory (WAL-backed; created if missing)")
 	)
 	flag.Parse()
 
 	var sys *minerule.System
-	switch {
-	case *dbDir != "":
-		if *load != "" {
-			fatal(fmt.Errorf("-db and -load are mutually exclusive"))
-		}
+	if *dbDir != "" {
 		var err error
 		sys, err = minerule.Open(minerule.WithStorage(*dbDir))
 		if err != nil {
 			fatal(err)
 		}
 		defer sys.Close()
-	case *load != "":
-		var err error
-		sys, err = minerule.LoadFrom(*load)
-		if err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		sys, _ = minerule.Open()
-	}
-	if *save != "" {
-		defer func() {
-			if err := sys.Save(*save); err != nil {
-				fatal(err)
-			}
-		}()
 	}
 
 	if *csvSpec != "" {

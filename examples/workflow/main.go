@@ -1,21 +1,29 @@
 // Workflow walks the full analyst loop the tightly-coupled architecture
 // enables: inspect the translation (EXPLAIN), mine keeping the encoded
 // tables, re-mine at a tighter threshold reusing them (paper §3), then
-// persist the database — mined rule tables included — and reload it.
+// close the durable database and reopen it — mined rule tables
+// included.
 package main
 
 import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"minerule"
 	"minerule/internal/gen"
 )
 
 func main() {
-	sys, _ := minerule.Open()
+	dir, err := os.MkdirTemp("", "minerule-workflow-demo")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	sys, err := minerule.Open(minerule.WithStorage(dir))
+	if err != nil {
+		log.Fatal(err)
+	}
 	if _, err := gen.LoadBaskets(sys.DB(), "Baskets", gen.BasketConfig{
 		Groups: 1500, AvgSize: 8, AvgPatternLen: 4, Items: 150, Seed: 11,
 	}); err != nil {
@@ -67,19 +75,18 @@ func main() {
 	fmt.Println("engine plan for a query over the mined rules:")
 	fmt.Println(plan)
 
-	// 5. Persist everything and prove it comes back.
-	dir := filepath.Join(os.TempDir(), "minerule-workflow-demo")
-	defer os.RemoveAll(dir)
-	if err := sys.Save(dir); err != nil {
+	// 5. Everything is durable: close, reopen and prove it comes back.
+	if err := sys.Close(); err != nil {
 		log.Fatal(err)
 	}
-	restored, err := minerule.LoadFrom(dir)
+	reopened, err := minerule.Open(minerule.WithStorage(dir))
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, err := restored.QueryInt("SELECT COUNT(*) FROM Frequent")
+	defer reopened.Close()
+	n, err := reopened.QueryInt("SELECT COUNT(*) FROM Frequent")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("saved to %s and reloaded: %d rules survive the round trip\n", dir, n)
+	fmt.Printf("closed and reopened %s: %d rules survive\n", dir, n)
 }

@@ -79,11 +79,7 @@ func Baseline() ([]BaselineEntry, error) {
 	}
 
 	in := minerBenchInput(2000, 300, 8, 1)
-	for _, m := range []mining.ItemsetMiner{
-		mining.Apriori{}, mining.Bitmap{}, mining.Horizontal{},
-		mining.Horizontal{Hashing: true}, mining.Partition{Partitions: 4},
-		mining.Sampling{Fraction: 0.3, Seed: 7},
-	} {
+	for _, m := range []mining.ItemsetMiner{mining.Apriori{}, mining.Bitmap{}, mining.DHP{}} {
 		m := m
 		record("LargeItemsets/"+m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

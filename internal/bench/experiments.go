@@ -147,7 +147,7 @@ func E3(customers []int) (*Table, error) {
 
 // E4 races the core-operator pool across a support sweep — the paper's
 // algorithm-interoperability pool compared on one workload, mirroring
-// the evaluations of [3,7,12,13].
+// the evaluations of [3,12].
 func E4(groups int, supports []float64) (*Table, error) {
 	if groups == 0 {
 		groups = 4000
@@ -162,11 +162,10 @@ func E4(groups int, supports []float64) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("E4: algorithm pool, T10.I4 D=%d, core time (ms) per support", groups),
 		Header: append([]string{"algorithm"}, supportsHeader(supports)...),
-		Notes: "expected shape: all agree on rule counts; in-memory, the vertical bitmap (the default) wins, the gid-list apriori is next and the horizontal family's gap widens as support drops — " +
-			"the pass-count savings of partition/sampling are disk-I/O effects an in-memory substrate does not reproduce (see EXPERIMENTS.md)",
+		Notes:  "expected shape: all agree on rule counts; in memory the vertical bitmap (the default) wins, the gid-list apriori is next and DHP's horizontal counting falls behind as support drops",
 	}
 	counts := make([]string, len(supports))
-	algos := []core.Algorithm{core.AlgoApriori, core.AlgoBitmap, core.AlgoHorizontal, core.AlgoAprioriTid, core.AlgoDHP, core.AlgoPartition, core.AlgoSampling}
+	algos := []core.Algorithm{core.AlgoApriori, core.AlgoBitmap, core.AlgoDHP}
 	firstRules := make([]int, len(supports))
 	for ai, algo := range algos {
 		row := []string{string(algo)}

@@ -30,21 +30,17 @@ type Algorithm string
 
 // The pool.
 const (
-	AlgoApriori       Algorithm = "apriori"            // gid-list levelwise [1,3]
-	AlgoHorizontal    Algorithm = "apriori-horizontal" // counting passes [3]
-	AlgoAprioriTid    Algorithm = "apriori-tid"        // transformed-set passes [3]
-	AlgoAprioriHybrid Algorithm = "apriori-hybrid"     // switch between the two [3]
-	AlgoDHP           Algorithm = "apriori-dhp"        // hash-filtered [12]
-	AlgoPartition     Algorithm = "partition"          // two passes [13]
-	AlgoSampling      Algorithm = "sampling"           // Toivonen [7]
-	AlgoBitmap        Algorithm = "bitmap"             // vertical packed bitsets; the default
+	AlgoApriori Algorithm = "apriori"     // gid-list levelwise [1,3]
+	AlgoDHP     Algorithm = "apriori-dhp" // horizontal counting, hash-filtered [12]
+	AlgoBitmap  Algorithm = "bitmap"      // vertical packed bitsets; the default
 )
 
 // Options tunes a pipeline run.
 type Options struct {
 	// Algorithm picks the simple-core pool member; empty means
 	// AlgoBitmap, the member that measured fastest at every support of
-	// EXPERIMENTS.md E4. General statements always use the lattice
+	// EXPERIMENTS.md E4. A name outside the pool fails the run before
+	// anything is created. General statements always use the lattice
 	// algorithm.
 	Algorithm Algorithm
 	// ReplaceOutput drops pre-existing output tables of the same name
@@ -236,6 +232,10 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 			met.MineErrors.Inc()
 		}
 	}()
+	miner, err := poolMiner(opts.Algorithm)
+	if err != nil {
+		return nil, err
+	}
 	var root *obsv.Span
 	if opts.Trace {
 		root = obsv.NewSpan("mine")
@@ -332,7 +332,6 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 	var rules []mining.Rule
 	groupsRead := 0
 	if tr.Class.Simple() {
-		miner := poolMiner(opts.Algorithm)
 		res.Algorithm = miner.Name()
 		var in *mining.SimpleInput
 		in, err = readSimpleInput(ctx, db, tr, pre.Totg)
@@ -419,25 +418,19 @@ func cleanupFailed(db *engine.Database, tr *translator.Translation) {
 		translator.Object{Kind: "TABLE", Name: n.OutputHeadT})
 }
 
-func poolMiner(a Algorithm) mining.ItemsetMiner {
+// poolMiner resolves a pool member by name; the empty name is the
+// default, AlgoBitmap.
+func poolMiner(a Algorithm) (mining.ItemsetMiner, error) {
 	switch a {
-	case AlgoHorizontal:
-		return mining.Horizontal{}
-	case AlgoAprioriTid:
-		return mining.AprioriTid{}
-	case AlgoAprioriHybrid:
-		return mining.AprioriHybrid{}
-	case AlgoDHP:
-		return mining.Horizontal{Hashing: true}
-	case AlgoPartition:
-		return mining.Partition{}
-	case AlgoSampling:
-		return mining.Sampling{}
 	case AlgoApriori:
-		return mining.Apriori{}
-	default: // AlgoBitmap, and the empty default
-		return mining.Bitmap{}
+		return mining.Apriori{}, nil
+	case AlgoDHP:
+		return mining.DHP{}, nil
+	case AlgoBitmap, "":
+		return mining.Bitmap{}, nil
 	}
+	return nil, fmt.Errorf("core: unknown algorithm %q (the pool is %s, %s, %s)",
+		a, AlgoApriori, AlgoDHP, AlgoBitmap)
 }
 
 func prepareOutputs(db *engine.Database, tr *translator.Translation, opts Options) error {

@@ -144,7 +144,7 @@ func TestSimpleStatementPipeline(t *testing.T) {
 }
 
 func TestAllAlgorithmsAgreeThroughPipeline(t *testing.T) {
-	for _, algo := range []Algorithm{"", AlgoApriori, AlgoBitmap, AlgoHorizontal, AlgoAprioriTid, AlgoAprioriHybrid, AlgoDHP, AlgoPartition, AlgoSampling} {
+	for _, algo := range []Algorithm{"", AlgoApriori, AlgoBitmap, AlgoDHP} {
 		db := purchaseDB(t)
 		res, err := Mine(db, `
 			MINE RULE Baskets AS

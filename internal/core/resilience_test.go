@@ -70,6 +70,35 @@ func countStatements(t *testing.T, stmt string) int {
 	return in.Seen()
 }
 
+// TestUnknownAlgorithmRejected: a name outside the pool fails the run
+// before it issues any SQL, for both statement classes, so even under
+// ReplaceOutput the existing outputs stay and nothing new is created.
+func TestUnknownAlgorithmRejected(t *testing.T) {
+	for _, stmt := range []string{simpleStatement, paperStatement} {
+		for _, algo := range []Algorithm{"apriory", "sampling"} {
+			db := purchaseDB(t)
+			if _, err := Mine(db, stmt, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			pre := catalogSnapshot(db)
+			in := fault.New() // inert: counts without firing
+			db.SetExecHook(in.Hook())
+			_, err := Mine(db, stmt, Options{Algorithm: algo, ReplaceOutput: true})
+			db.SetExecHook(nil)
+			want := fmt.Sprintf("core: unknown algorithm %q (the pool is apriori, apriori-dhp, bitmap)", algo)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s: err = %v, want %s", algo, err, want)
+			}
+			if n := in.Seen(); n != 0 {
+				t.Errorf("%s: %d SQL statements ran before the rejection", algo, n)
+			}
+			if added, removed := diffSnapshots(pre, catalogSnapshot(db)); len(added)+len(removed) > 0 {
+				t.Errorf("%s: catalog changed: added %v, removed %v", algo, added, removed)
+			}
+		}
+	}
+}
+
 // TestFaultInjectionRollback is the failure-hygiene sweep: for every SQL
 // statement position the kernel reaches, inject a failure there and
 // verify the catalog afterwards holds exactly the pre-run objects — or,
@@ -380,10 +409,7 @@ func TestGenerousLimitsSucceed(t *testing.T) {
 // shared budget: with a one-candidate ceiling each must fail, not hang
 // or return silently truncated results as success.
 func TestPerAlgorithmCandidateBudget(t *testing.T) {
-	for _, algo := range []Algorithm{
-		AlgoApriori, AlgoBitmap, AlgoHorizontal, AlgoAprioriTid, AlgoAprioriHybrid,
-		AlgoDHP, AlgoPartition, AlgoSampling,
-	} {
+	for _, algo := range []Algorithm{AlgoApriori, AlgoBitmap, AlgoDHP} {
 		t.Run(string(algo), func(t *testing.T) {
 			db := purchaseDB(t)
 			_, err := Mine(db, simpleStatement, Options{

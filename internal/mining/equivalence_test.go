@@ -12,20 +12,9 @@ import (
 	"minerule/internal/resource"
 )
 
-// poolMiners are the exact-algorithm pool members checked against the
-// Apriori oracle. Sampling is included because its negative-border
-// verification makes it exact, and the fixed Seed makes it
-// deterministic.
+// poolMiners are the pool members checked against the Apriori oracle.
 func poolMiners() []ItemsetMiner {
-	return []ItemsetMiner{
-		Bitmap{},
-		Horizontal{},
-		Horizontal{Hashing: true},
-		AprioriTid{},
-		AprioriHybrid{},
-		Partition{Partitions: 4},
-		Sampling{Fraction: 0.5, Seed: 11},
-	}
+	return []ItemsetMiner{Bitmap{}, DHP{}}
 }
 
 func randomInput(rng *rand.Rand) (*SimpleInput, int) {
@@ -91,25 +80,40 @@ func denseInput() *SimpleInput {
 	return NewSimpleInput(byGroup, 400)
 }
 
+// atWidths runs fn once single-threaded and once at the full pool
+// width, restoring GOMAXPROCS afterwards (also when fn calls t.Fatal).
+// GOMAXPROCS is process-wide, so callers must not run in parallel.
+func atWidths(fn func(width int)) {
+	for _, width := range []int{1, runtime.GOMAXPROCS(0)} {
+		prev := runtime.GOMAXPROCS(width)
+		func() {
+			defer runtime.GOMAXPROCS(prev)
+			fn(width)
+		}()
+	}
+}
+
 // TestParallelBudgetTrip proves a tripped candidate budget stops the
 // parallel passes promptly with the trip recorded, for every miner.
 func TestParallelBudgetTrip(t *testing.T) {
 	in := denseInput()
 	miners := append(poolMiners(), Apriori{})
-	for _, m := range miners {
-		bud := NewBudget(context.Background(), 50)
-		done := make(chan []Itemset, 1)
-		go func() { done <- m.LargeItemsets(in, 2, bud) }()
-		select {
-		case sets := <-done:
-			if err := bud.Err(); !errors.Is(err, resource.ErrBudgetExceeded) {
-				t.Errorf("%s: budget err = %v, want ErrBudgetExceeded", m.Name(), err)
+	atWidths(func(width int) {
+		for _, m := range miners {
+			bud := NewBudget(context.Background(), 50)
+			done := make(chan []Itemset, 1)
+			go func() { done <- m.LargeItemsets(in, 2, bud) }()
+			select {
+			case sets := <-done:
+				if err := bud.Err(); !errors.Is(err, resource.ErrBudgetExceeded) {
+					t.Errorf("%s at GOMAXPROCS=%d: budget err = %v, want ErrBudgetExceeded", m.Name(), width, err)
+				}
+				_ = sets // partial results are allowed; only the stop matters
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s at GOMAXPROCS=%d: did not stop after budget trip", m.Name(), width)
 			}
-			_ = sets // partial results are allowed; only the stop matters
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: did not stop after budget trip", m.Name())
 		}
-	}
+	})
 }
 
 // TestParallelContextCancel proves an already-canceled context stops the
@@ -119,17 +123,19 @@ func TestParallelContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	miners := append(poolMiners(), Apriori{})
-	for _, m := range miners {
-		bud := NewBudget(ctx, 0)
-		done := make(chan struct{})
-		go func() { m.LargeItemsets(in, 2, bud); close(done) }()
-		select {
-		case <-done:
-			if err := bud.Err(); !errors.Is(err, resource.ErrCanceled) {
-				t.Errorf("%s: budget err = %v, want ErrCanceled", m.Name(), err)
+	atWidths(func(width int) {
+		for _, m := range miners {
+			bud := NewBudget(ctx, 0)
+			done := make(chan struct{})
+			go func() { m.LargeItemsets(in, 2, bud); close(done) }()
+			select {
+			case <-done:
+				if err := bud.Err(); !errors.Is(err, resource.ErrCanceled) {
+					t.Errorf("%s at GOMAXPROCS=%d: budget err = %v, want ErrCanceled", m.Name(), width, err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s at GOMAXPROCS=%d: did not stop after context cancel", m.Name(), width)
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: did not stop after context cancel", m.Name())
 		}
-	}
+	})
 }

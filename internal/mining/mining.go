@@ -3,10 +3,10 @@
 // discovers association rules. Two processing classes exist, matching
 // Figure 3.b:
 //
-//   - simple rules: a pool of classical large-itemset algorithms
-//     (levelwise gid-list Apriori [1,3], DHP-style hashing [12],
-//     Partition [13], Toivonen-style sampling [7]) followed by rule
-//     generation from itemsets;
+//   - simple rules: a pool of large-itemset algorithms (levelwise
+//     gid-list Apriori [1,3], horizontal counting with DHP-style
+//     hashing [12], vertical bitmaps) followed by rule generation from
+//     itemsets;
 //   - general rules: the m×n rule-lattice algorithm over elementary
 //     rules with (group, body cluster, head cluster) contexts.
 //
@@ -63,8 +63,8 @@ type Options struct {
 
 // Budget carries cancellation and the candidate ceiling into the mining
 // algorithms. A nil *Budget never trips, so every method is nil-safe.
-// The state is shared by Partition's parallel phase-1 workers, so the
-// counters are atomic.
+// The state is shared by the workers of a parallel pass (parallelFor),
+// so the counters are atomic.
 type Budget struct {
 	ctx     context.Context
 	max     int64
@@ -78,8 +78,8 @@ type Budget struct {
 
 // PassStat records one levelwise pass for observability: the itemset
 // size mined, how many candidates the pass generated, and how many
-// survived as large. Algorithms without a levelwise shape (the lattice
-// core, partition's merge) record nothing.
+// survived as large. The lattice core, which has no levelwise shape,
+// records nothing.
 type PassStat struct {
 	Level      int
 	Candidates int

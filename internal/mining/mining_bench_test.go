@@ -25,10 +25,7 @@ func benchInput(groups, items, avg int, seed int64) *SimpleInput {
 func BenchmarkLargeItemsets(b *testing.B) {
 	b.ReportAllocs()
 	in := benchInput(2000, 300, 8, 1)
-	for _, m := range []ItemsetMiner{
-		Apriori{}, Bitmap{}, Horizontal{}, Horizontal{Hashing: true},
-		Partition{Partitions: 4}, Sampling{Fraction: 0.3, Seed: 7},
-	} {
+	for _, m := range []ItemsetMiner{Apriori{}, Bitmap{}, DHP{}} {
 		b.Run(m.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -46,22 +43,7 @@ func BenchmarkDHPBuckets(b *testing.B) {
 	for _, buckets := range []int{1 << 8, 1 << 12, 1 << 16, 1 << 20} {
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
 			b.ReportAllocs()
-			m := Horizontal{Hashing: true, HashBuckets: buckets}
-			for i := 0; i < b.N; i++ {
-				m.LargeItemsets(in, 40, nil)
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionCount ablates the partition count of [13].
-func BenchmarkPartitionCount(b *testing.B) {
-	b.ReportAllocs()
-	in := benchInput(2000, 300, 8, 1)
-	for _, parts := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			b.ReportAllocs()
-			m := Partition{Partitions: parts}
+			m := DHP{HashBuckets: buckets}
 			for i := 0; i < b.N; i++ {
 				m.LargeItemsets(in, 40, nil)
 			}

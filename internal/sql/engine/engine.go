@@ -364,22 +364,15 @@ func (db *Database) ImportCSV(name string, header []string, r io.Reader) (int, e
 	return db.ImportCSVContext(context.Background(), name, header, r)
 }
 
-// ImportCSVContext is ImportCSV under a cancellation context, which
-// bounds the import transaction's lock waits and commit.
-func (db *Database) ImportCSVContext(ctx context.Context, name string, header []string, r io.Reader) (int, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	return db.importRecords(ctx, name, header, cr)
-}
-
-// importRecords implements CSV loading over an already-positioned
-// reader (shared with Load, whose files carry the header in-band). The
+// ImportCSVContext is ImportCSV under a cancellation context. The
 // import runs as one transaction on a private connection, bounded by
 // the context's effective limits: the row batch becomes visible
 // atomically and shares one group fsync at commit. Table creation is
 // DDL and therefore survives a failed load (as a created-then-empty
 // table), matching how a CREATE TABLE + failed INSERT script behaves.
-func (db *Database) importRecords(ctx context.Context, name string, header []string, cr *csv.Reader) (int, error) {
+func (db *Database) ImportCSVContext(ctx context.Context, name string, header []string, r io.Reader) (int, error) {
+	cr := csv.NewReader(r)
+	cr.TrimLeadingSpace = true
 	cols := make([]schema.Column, len(header))
 	for i, h := range header {
 		parts := strings.SplitN(h, ":", 2)

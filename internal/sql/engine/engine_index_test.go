@@ -154,26 +154,6 @@ func TestIndexCatalogRules(t *testing.T) {
 	}
 }
 
-func TestIndexSurvivesSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	db := indexDB(t)
-	if err := db.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, ok := db2.Catalog().Table("t")
-	if !ok || len(tab.Indexes()) != 1 {
-		t.Fatalf("indexes after load = %v", tab.Indexes())
-	}
-	n, _ := db2.QueryInt("SELECT COUNT(*) FROM t WHERE k = 2")
-	if n != 2 {
-		t.Fatalf("indexed lookup after load = %d", n)
-	}
-}
-
 func TestExplainSQL(t *testing.T) {
 	db := indexDB(t)
 	if err := db.ExecScript("CREATE TABLE u (k INTEGER); INSERT INTO u VALUES (1), (2)"); err != nil {

@@ -302,20 +302,6 @@ func (s *System) ImportCSV(table string, header []string, r io.Reader) (int, err
 // ExportCSV writes a query result as CSV.
 func (s *System) ExportCSV(w io.Writer, sql string) error { return s.db.ExportCSV(w, sql) }
 
-// Save writes the whole database (tables, views, sequences) under dir:
-// one typed CSV per table plus a manifest. Mining outputs are ordinary
-// tables, so mined rule sets survive restarts too.
-func (s *System) Save(dir string) error { return s.db.Save(dir) }
-
-// Open- or load-time counterpart of Save.
-func LoadFrom(dir string) (*System, error) {
-	db, err := engine.Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &System{db: db}, nil
-}
-
 // WriteMetrics writes the system's always-on counters — statement,
 // cache, row and mining totals plus per-phase wall time — in Prometheus
 // text exposition format (the same body cmd/minerule-web serves on
@@ -365,21 +351,17 @@ type Algorithm string
 
 // The pool (general statements always use the rule-lattice core).
 const (
-	Apriori           Algorithm = Algorithm(core.AlgoApriori)
-	AprioriHorizontal Algorithm = Algorithm(core.AlgoHorizontal)
-	AprioriTid        Algorithm = Algorithm(core.AlgoAprioriTid)
-	AprioriHybrid     Algorithm = Algorithm(core.AlgoAprioriHybrid)
-	AprioriDHP        Algorithm = Algorithm(core.AlgoDHP)
-	Partition         Algorithm = Algorithm(core.AlgoPartition)
-	Sampling          Algorithm = Algorithm(core.AlgoSampling)
-	Bitmap            Algorithm = Algorithm(core.AlgoBitmap)
+	Apriori    Algorithm = Algorithm(core.AlgoApriori)
+	AprioriDHP Algorithm = Algorithm(core.AlgoDHP)
+	Bitmap     Algorithm = Algorithm(core.AlgoBitmap)
 )
 
 // Option adjusts one Mine call.
 type Option func(*core.Options)
 
 // WithAlgorithm picks the simple-core pool member (default Bitmap;
-// Apriori selects the gid-list levelwise miner).
+// Apriori selects the gid-list levelwise miner). A name outside the
+// pool fails the Mine call before it touches the catalog.
 func WithAlgorithm(a Algorithm) Option {
 	return func(o *core.Options) { o.Algorithm = core.Algorithm(a) }
 }

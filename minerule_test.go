@@ -84,11 +84,11 @@ func TestPublicAPIQueryAndOptions(t *testing.T) {
 		SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE
 		FROM Purchase GROUP BY tr
 		EXTRACTING RULES WITH SUPPORT: 0.5, CONFIDENCE: 0.8`
-	res, err := sys.Mine(stmt, minerule.WithAlgorithm(minerule.Partition))
+	res, err := sys.Mine(stmt, minerule.WithAlgorithm(minerule.Apriori))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Simple || res.Algorithm != "partition" {
+	if !res.Simple || res.Algorithm != "apriori" {
 		t.Errorf("algorithm = %s (simple=%v)", res.Algorithm, res.Simple)
 	}
 	// Second run fails without replace, succeeds with.

@@ -68,7 +68,7 @@ func TestConcurrentQueryAndMine(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := sysM.Mine(simpleMine, minerule.WithAlgorithm(minerule.Partition)); err != nil {
+		if _, err := sysM.Mine(simpleMine, minerule.WithAlgorithm(minerule.Apriori)); err != nil {
 			errs <- err
 		}
 	}()
