@@ -68,15 +68,15 @@ func main() {
 	}
 
 	runners := map[string]func() (*bench.Table, error){
-		"E1": bench.E1,
-		"E2": func() (*bench.Table, error) { return bench.E2(nil) },
-		"E3": func() (*bench.Table, error) { return bench.E3(nil) },
-		"E4": func() (*bench.Table, error) { return bench.E4(0, nil) },
-		"E5": bench.E5,
-		"E6": bench.E6,
-		"E7": bench.E7,
-		"E8": func() (*bench.Table, error) { return bench.E8(nil) },
-		"E9": bench.E9,
+		"E1":  bench.E1,
+		"E2":  func() (*bench.Table, error) { return bench.E2(nil) },
+		"E3":  func() (*bench.Table, error) { return bench.E3(nil) },
+		"E4":  func() (*bench.Table, error) { return bench.E4(0, nil) },
+		"E5":  bench.E5,
+		"E6":  bench.E6,
+		"E7":  bench.E7,
+		"E8":  func() (*bench.Table, error) { return bench.E8(nil) },
+		"E9":  bench.E9,
 		"E10": func() (*bench.Table, error) { return bench.E10(nil) },
 	}
 

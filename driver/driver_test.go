@@ -431,8 +431,10 @@ func TestMidQueryDisconnectCancellation(t *testing.T) {
 	if _, err := seed.Exec("CREATE TABLE big (a INTEGER, b INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
+	// Two b values: the join below yields 16M rows, several hundred
+	// milliseconds of work even for the streaming join.
 	for i := 0; i < 400; i++ {
-		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO big VALUES (%d, %d)", i, i%7)); err != nil {
+		if _, err := seed.Exec(fmt.Sprintf("INSERT INTO big VALUES (%d, %d)", i, i%2)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"minerule/internal/obsv"
 	"minerule/internal/resource"
 	"minerule/internal/sql/engine"
+	"minerule/internal/sql/schema"
 )
 
 // Algorithm selects the simple-core pool member (§3: "the core operator
@@ -130,7 +131,8 @@ type Explanation struct {
 	// Simple reports which core-processing class would run.
 	Simple bool
 	// Steps are the preprocessing statements in execution order, with
-	// their paper names (Q0…Q10 plus the output setup); Q1 is the
+	// their paper names (Q0…Q7, the output setup, then Q8 with a
+	// trailing comment saying its rows stream into the core); Q1 is the
 	// total-group query, with a trailing comment when it is folded into
 	// Q2 and not run.
 	Steps []ExplainStep
@@ -164,6 +166,9 @@ func Explain(db *engine.Database, statement string) (*Explanation, error) {
 		Decode:    append([]string(nil), tr.Program.Decode...),
 	}
 	for _, s := range tr.Program.Steps() {
+		if s.Name == "Q8" {
+			s.SQL = tr.ElementaryQuery()
+		}
 		ex.Steps = append(ex.Steps, ExplainStep{Name: s.Name, SQL: s.SQL})
 	}
 	return ex, nil
@@ -287,11 +292,13 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 	if opts.ReuseEncoded {
 		pre, reused = preproc.TryReuse(db, tr)
 	}
-	if !reused {
+	if reused {
+		err = preproc.Elementary(ctx, db, tr, pre)
+	} else {
 		pre, err = preproc.Run(ctx, db, tr)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.Reused = reused
 	res.TotalGroups = pre.Totg
@@ -343,7 +350,7 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 	} else {
 		res.Algorithm = "rule-lattice"
 		var in *mining.GeneralInput
-		in, err = readGeneralInput(ctx, db, tr, pre.Totg)
+		in, err = readGeneralInput(ctx, db, tr, pre)
 		if err != nil {
 			return nil, err
 		}
@@ -447,30 +454,36 @@ func prepareOutputs(db *engine.Database, tr *translator.Translation, opts Option
 	return nil
 }
 
-// readSimpleInput loads CodedSource (Gid, Bid) into the simple-core
-// input format. It reads the table snapshot straight out of the
-// dictionary and hands the (gid, bid) pairs to the miner without running
-// a SELECT, so the preprocessing output skips the executor's
-// materialize/re-encode hop. The read answers to the run's row budget
-// like any SQL step: a snapshot larger than the effective MaxRows fails
-// with a rows BudgetError.
-func readSimpleInput(ctx context.Context, db *engine.Database, tr *translator.Translation, totg int) (*mining.SimpleInput, error) {
-	t, ok := db.Catalog().Table(tr.Names.CodedSource)
+// snapshot reads a working table's rows straight out of the dictionary
+// and resolves cols by name, so the preprocessing output reaches the
+// core without a SELECT's materialize/re-encode hop. The read answers to
+// the run's row budget like any SQL step: a snapshot larger than the
+// effective MaxRows fails with a rows BudgetError.
+func snapshot(ctx context.Context, db *engine.Database, name string, cols ...string) ([]schema.Row, []int, error) {
+	t, ok := db.Catalog().Table(name)
 	if !ok {
-		return nil, fmt.Errorf("core: coded source %q is not a table", tr.Names.CodedSource)
+		return nil, nil, fmt.Errorf("core: working table %q is missing", name)
 	}
-	sch := t.Schema()
-	gidOrd, err := sch.Resolve("", "mr_gid")
-	if err != nil {
-		return nil, err
-	}
-	bidOrd, err := sch.Resolve("", "mr_bid")
-	if err != nil {
-		return nil, err
+	ords := make([]int, len(cols))
+	for i, c := range cols {
+		var err error
+		if ords[i], err = t.Schema().Resolve("", c); err != nil {
+			return nil, nil, err
+		}
 	}
 	rows := t.Snapshot()
 	if l, _ := resource.LimitsFrom(ctx); l.MaxRows > 0 && len(rows) > l.MaxRows {
-		return nil, &resource.BudgetError{Resource: "rows", Limit: l.MaxRows}
+		return nil, nil, &resource.BudgetError{Resource: "rows", Limit: l.MaxRows}
+	}
+	return rows, ords, nil
+}
+
+// readSimpleInput loads CodedSource (Gid, Bid) into the simple-core
+// input format, handing the (gid, bid) pairs to the miner.
+func readSimpleInput(ctx context.Context, db *engine.Database, tr *translator.Translation, totg int) (*mining.SimpleInput, error) {
+	rows, ord, err := snapshot(ctx, db, tr.Names.CodedSource, "mr_gid", "mr_bid")
+	if err != nil {
+		return nil, err
 	}
 	gids := make([]int64, len(rows))
 	items := make([]mining.Item, len(rows))
@@ -480,19 +493,21 @@ func readSimpleInput(ctx context.Context, db *engine.Database, tr *translator.Tr
 				return nil, err
 			}
 		}
-		gids[i] = row[gidOrd].Int()
-		items[i] = mining.Item(row[bidOrd].Int())
+		gids[i] = row[ord[0]].Int()
+		items[i] = mining.Item(row[ord[1]].Int())
 	}
 	return mining.NewSimpleInputFromPairs(gids, items, totg), nil
 }
 
-// readGeneralInput loads CodedSource (plus ClusterCouples and InputRules
-// when present) into the general-core input format.
-func readGeneralInput(ctx context.Context, db *engine.Database, tr *translator.Translation, totg int) (*mining.GeneralInput, error) {
+// readGeneralInput loads MiningSource (plus ClusterCouples under K) into
+// the general-core input format, with Q8's elementary rules when the
+// statement has a mining condition.
+func readGeneralInput(ctx context.Context, db *engine.Database, tr *translator.Translation, pre *preproc.Result) (*mining.GeneralInput, error) {
 	cl := tr.Class
 	in := &mining.GeneralInput{
-		TotalGroups: totg,
+		TotalGroups: pre.Totg,
 		SameAttr:    !cl.H,
+		Elementary:  pre.Elementary,
 	}
 	switch {
 	case cl.K:
@@ -503,30 +518,21 @@ func readGeneralInput(ctx context.Context, db *engine.Database, tr *translator.T
 		in.PairPolicy = mining.SelfPairs
 	}
 
-	res, err := db.QueryContext(ctx, "SELECT * FROM "+tr.Names.CodedSource)
-	if err != nil {
-		return nil, err
-	}
-	col := func(name string) (int, error) { return res.Schema.Resolve("", name) }
-	gidIdx, err := col("mr_gid")
-	if err != nil {
-		return nil, err
-	}
-	bidIdx, err := col("mr_bid")
-	if err != nil {
-		return nil, err
-	}
-	cidIdx := -1
+	// MiningSource's columns, by name; the optional ones only when the
+	// class has them.
+	cols := []string{"mr_gid", "mr_bid"}
+	cidIdx, hidIdx := -1, -1
 	if cl.C {
-		if cidIdx, err = col("mr_cid"); err != nil {
-			return nil, err
-		}
+		cidIdx = len(cols)
+		cols = append(cols, "mr_cid")
 	}
-	hidIdx := -1
 	if cl.H {
-		if hidIdx, err = col("mr_hid"); err != nil {
-			return nil, err
-		}
+		hidIdx = len(cols)
+		cols = append(cols, "mr_hid")
+	}
+	rows, ord, err := snapshot(ctx, db, tr.Names.MiningSource, cols...)
+	if err != nil {
+		return nil, err
 	}
 
 	groups := make(map[int64]*mining.GroupData)
@@ -546,58 +552,40 @@ func readGeneralInput(ctx context.Context, db *engine.Database, tr *translator.T
 		}
 		return gd
 	}
-	for _, row := range res.Rows {
-		g := row[gidIdx].Int()
+	for i, row := range rows {
+		if i&4095 == 4095 {
+			if err := resource.Check(ctx); err != nil {
+				return nil, err
+			}
+		}
 		var cid int64
 		if cidIdx >= 0 {
-			cid = row[cidIdx].Int()
+			cid = row[ord[cidIdx]].Int()
 		}
-		gd := groupOf(g)
-		if !row[bidIdx].IsNull() {
-			gd.BodyClusters[cid] = append(gd.BodyClusters[cid], mining.Item(row[bidIdx].Int()))
+		gd := groupOf(row[ord[0]].Int())
+		if b := row[ord[1]]; !b.IsNull() {
+			gd.BodyClusters[cid] = append(gd.BodyClusters[cid], mining.Item(b.Int()))
 		}
-		if hidIdx >= 0 && !row[hidIdx].IsNull() {
-			gd.HeadClusters[cid] = append(gd.HeadClusters[cid], mining.Item(row[hidIdx].Int()))
+		if hidIdx >= 0 {
+			if h := row[ord[hidIdx]]; !h.IsNull() {
+				gd.HeadClusters[cid] = append(gd.HeadClusters[cid], mining.Item(h.Int()))
+			}
 		}
 	}
 
 	if cl.K {
-		cres, err := db.QueryContext(ctx, "SELECT mr_gid, mr_bcid, mr_hcid FROM "+tr.Names.ClusterCouples)
+		rows, ord, err := snapshot(ctx, db, tr.Names.ClusterCouples, "mr_gid", "mr_bcid", "mr_hcid")
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range cres.Rows {
-			gd := groupOf(row[0].Int())
-			gd.Couples = append(gd.Couples, [2]int64{row[1].Int(), row[2].Int()})
+		for _, row := range rows {
+			gd := groupOf(row[ord[0]].Int())
+			gd.Couples = append(gd.Couples, [2]int64{row[ord[1]].Int(), row[ord[2]].Int()})
 		}
 	}
 
 	// Deterministic group order.
 	in.Groups = sortedGroups(groups)
-
-	if cl.M {
-		sel := "SELECT mr_gid, mr_bid, mr_hid FROM " + tr.Names.InputRules
-		if cl.C {
-			sel = "SELECT mr_gid, mr_bid, mr_hid, mr_bcid, mr_hcid FROM " + tr.Names.InputRules
-		}
-		ires, err := db.QueryContext(ctx, sel)
-		if err != nil {
-			return nil, err
-		}
-		in.Elementary = make([]mining.ElemOcc, 0, len(ires.Rows))
-		for _, row := range ires.Rows {
-			e := mining.ElemOcc{
-				Body: mining.Item(row[1].Int()),
-				Head: mining.Item(row[2].Int()),
-				Ctx:  mining.Ctx{G: row[0].Int()},
-			}
-			if cl.C {
-				e.Ctx.BC = row[3].Int()
-				e.Ctx.HC = row[4].Int()
-			}
-			in.Elementary = append(in.Elementary, e)
-		}
-	}
 	return in, nil
 }
 

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"minerule/internal/gen"
+	"minerule/internal/sql/engine"
 )
 
 // TestMultiAttributeSchemas mines with a two-attribute body schema: rule
@@ -104,13 +108,19 @@ func TestExplain(t *testing.T) {
 	}
 	var names []string
 	for _, s := range ex.Steps {
-		names = append(names, s.Name)
-	}
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"Q0", "Q2", "Q3", "Q6", "Q7", "Q4", "Q8", "Q9", "Q10"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("step %s missing: %s", want, joined)
+		if len(names) == 0 || names[len(names)-1] != s.Name {
+			names = append(names, s.Name)
 		}
+	}
+	if got, want := strings.Join(names, ","), "Q0,Q2,Q3,Q6,Q7,Q4,output,Q8"; got != want {
+		t.Errorf("steps = %s, want %s", got, want)
+	}
+	// Q8 is the streamed SELECT, with a comment naming the paper steps
+	// it replaces.
+	q8 := ex.Steps[len(ex.Steps)-1].SQL
+	if !strings.HasPrefix(q8, "SELECT ") || !strings.Contains(q8, "-- streams into the core") ||
+		!strings.Contains(q8, "Q9") || !strings.Contains(q8, "Q10") {
+		t.Errorf("Q8 = %s", q8)
 	}
 	if len(ex.Decode) == 0 || ex.Q1 == "" {
 		t.Error("decode programs or Q1 missing")
@@ -297,12 +307,20 @@ func TestReuseEncoded(t *testing.T) {
 	}
 }
 
-// TestReuseEncodedGeneral checks reuse on the general path, where
-// CodedSource is a view and InputRules must survive.
+// TestReuseEncodedGeneral checks reuse on the general path. Reuse needs
+// only MiningSource and ClusterCouples, and Q8 runs again over them, so
+// nothing stores elementary rules, and a run at a tighter support prunes
+// at that support: it returns exactly what a fresh run at that support
+// returns.
 func TestReuseEncodedGeneral(t *testing.T) {
 	db := purchaseDB(t)
 	if _, err := Mine(db, paperStatement, Options{KeepEncoded: true}); err != nil {
 		t.Fatal(err)
+	}
+	for _, gone := range []string{"inputrules", "largerules", "elementaryrules", "codedsource"} {
+		if db.Catalog().Exists("mr_filteredorderedsets_" + gone) {
+			t.Errorf("KeepEncoded kept mr_filteredorderedsets_%s", gone)
+		}
 	}
 	res, err := Mine(db, paperStatement, Options{ReuseEncoded: true, ReplaceOutput: true})
 	if err != nil {
@@ -313,6 +331,51 @@ func TestReuseEncodedGeneral(t *testing.T) {
 	}
 	if res.RuleCount != 3 {
 		t.Fatalf("reused run found %d rules, want 3", res.RuleCount)
+	}
+	if steps := fmt.Sprint(res.PreprocSteps); !strings.Contains(steps, "{reused ") || !strings.Contains(steps, "{Q8 ") {
+		t.Errorf("reused run steps = %s, want reused then Q8", steps)
+	}
+
+	gdb := engine.New()
+	if _, err := gen.LoadPurchases(gdb, "Purchase", gen.PurchaseConfig{
+		Customers: 200, DatesPerCust: 3, ItemsPerDate: 4, Items: 40, Seed: 3,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stmt := func(support float64) string {
+		return fmt.Sprintf(`MINE RULE Tight AS
+			SELECT DISTINCT 1..2 item AS BODY, 1..1 item AS HEAD, SUPPORT, CONFIDENCE
+			WHERE BODY.price >= 100 AND HEAD.price < 100
+			FROM Purchase GROUP BY cust CLUSTER BY dt HAVING BODY.dt < HEAD.dt
+			EXTRACTING RULES WITH SUPPORT: %g, CONFIDENCE: 0.2`, support)
+	}
+	loose, err := Mine(gdb, stmt(0.03), Options{KeepEncoded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	looseRules := ruleStrings(t, gdb, loose)
+	tight, err := Mine(gdb, stmt(0.06), Options{ReuseEncoded: true, ReplaceOutput: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tight.Reused {
+		t.Fatal("the tighter support did not reuse")
+	}
+	tightRules := ruleStrings(t, gdb, tight)
+	fresh, err := Mine(gdb, stmt(0.06), Options{ReplaceOutput: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Reused {
+		t.Fatal("the fresh run reused")
+	}
+	freshRules := ruleStrings(t, gdb, fresh)
+	if len(freshRules) == 0 || len(freshRules) >= len(looseRules) {
+		t.Fatalf("%d rules at 0.06 and %d at 0.03: the tighter support prunes nothing", len(freshRules), len(looseRules))
+	}
+	if strings.Join(tightRules, "\n") != strings.Join(freshRules, "\n") {
+		t.Fatalf("reused run at the tighter support:\n%s\nfresh run:\n%s",
+			strings.Join(tightRules, "\n"), strings.Join(freshRules, "\n"))
 	}
 }
 

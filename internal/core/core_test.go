@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"minerule/internal/sql/engine"
 )
@@ -385,10 +386,24 @@ func TestTimingsPopulated(t *testing.T) {
 	for _, s := range res.PreprocSteps {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"Q0", "Q2", "Q3", "Q6", "Q7", "Q4", "Q8", "Q9", "Q10"} {
+	for _, want := range []string{"Q0", "Q2", "Q3", "Q6", "Q7", "Q4", "output", "Q8"} {
 		if !names[want] {
 			t.Errorf("step %s missing from trace (have %v)", want, res.PreprocSteps)
 		}
+	}
+	// Q8 runs last, and its time is preprocessing time.
+	var stepSum time.Duration
+	for _, s := range res.PreprocSteps {
+		stepSum += s.Duration
+	}
+	if last := res.PreprocSteps[len(res.PreprocSteps)-1]; last.Name != "Q8" {
+		t.Errorf("last step = %s, want Q8", last.Name)
+	}
+	if stepSum > res.Timings.Preprocess {
+		t.Errorf("steps sum to %v, more than the preprocess phase %v", stepSum, res.Timings.Preprocess)
+	}
+	if names["Q9"] || names["Q10"] {
+		t.Errorf("Q9/Q10 ran (have %v)", res.PreprocSteps)
 	}
 	// Q1 runs only under a group condition; otherwise it folds into Q2.
 	if names["Q1"] != res.Class.G {

@@ -1,8 +1,9 @@
 // Package preproc implements the paper's preprocessor (§4.2): it runs
 // the translator-generated SQL programs against the relational server,
 // producing the encoded tables (ValidGroups, Bset/Hset, Clusters,
-// ClusterCouples, CodedSource/MiningSource, InputRules) that are the
-// core operator's only view of the data.
+// ClusterCouples, CodedSource/MiningSource) and, under a mining
+// condition, the elementary rules Q8 streams to the core: together they
+// are the core operator's only view of the data.
 package preproc
 
 import (
@@ -32,6 +33,11 @@ type Result struct {
 	// found them; WriteMeta records them so reuse can tell whether the
 	// encoding still describes the data.
 	Sources []SourceStamp
+	// Elementary holds Q8's rows when the statement has a mining
+	// condition (nil otherwise): one elementary-rule occurrence per row,
+	// duplicates and rules below :mingroups included, for the core to
+	// deduplicate and prune.
+	Elementary []mining.ElemOcc
 }
 
 // SourceStamp is one FROM object and the stamp of its last publication
@@ -141,22 +147,70 @@ func Run(ctx context.Context, db *engine.Database, tr *translator.Translation) (
 		{"Q6", p.Q6},
 		{"Q7", p.Q7},
 		{"Q4", p.Q4},
-		{"Q8", p.Q8},
-		{"Q9", p.Q9},
-		{"Q10", p.Q10},
 		{"output", p.OutputSetup},
 	} {
 		if _, err := step(s.name, s.sqls); err != nil {
 			return nil, err
 		}
 	}
+	if err := Elementary(ctx, db, tr, res); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// Elementary runs Q8, the last preprocessing step, when the statement
+// has a mining condition, and collects its rows into res.Elementary by
+// column name. No table keeps them, so it runs on every mine, also
+// after TryReuse.
+func Elementary(ctx context.Context, db *engine.Database, tr *translator.Translation, res *Result) error {
+	q := tr.Program.Q8
+	if q == "" {
+		return nil
+	}
+	fail := func(err error) error { return fmt.Errorf("preproc: step Q8: %w", err) }
+	if err := resource.Check(ctx); err != nil {
+		return fail(err)
+	}
+	start := time.Now()
+	r, err := db.QueryContext(ctx, q)
+	if err != nil {
+		return fail(err)
+	}
+	names := []string{"mr_gid", "mr_bid", "mr_hid"}
+	if tr.Class.C {
+		names = append(names, "mr_bcid", "mr_hcid")
+	}
+	ord := make([]int, len(names))
+	for i, name := range names {
+		if ord[i], err = r.Schema.Resolve("", name); err != nil {
+			return fail(err)
+		}
+	}
+	// Non-nil even when empty: a nil list tells the core to derive the
+	// elementary rules from the groups, without the mining condition.
+	elem := make([]mining.ElemOcc, len(r.Rows))
+	for i, row := range r.Rows {
+		e := &elem[i]
+		e.Ctx.G = row[ord[0]].Int()
+		e.Body = mining.Item(row[ord[1]].Int())
+		e.Head = mining.Item(row[ord[2]].Int())
+		if tr.Class.C {
+			e.Ctx.BC = row[ord[3]].Int()
+			e.Ctx.HC = row[ord[4]].Int()
+		}
+	}
+	res.Elementary = elem
+	res.StepDurations = append(res.StepDurations, StepDuration{
+		Name: "Q8", Duration: time.Since(start), Stmts: 1, Rows: len(elem),
+	})
+	return nil
 }
 
 // DropExisting drops each object the catalog holds under that name with
 // that kind, so cleanup never issues a DROP bound to fail. Checking the
-// kind matters: a working name such as CodedSource is a table in the
-// simple class and a view in the general one.
+// kind matters: Source is a table under W, and older programs created a
+// view under the same name.
 func DropExisting(db *engine.Database, objs ...translator.Object) {
 	cat := db.Catalog()
 	for _, o := range objs {
@@ -208,7 +262,8 @@ func WriteMeta(db *engine.Database, tr *translator.Translation, res *Result) err
 // every source table still at the publish stamp it had when that run
 // read it — no row committed since, not dropped and re-created. On
 // success it recreates only the encoded output tables and returns a
-// Result without running any Q-step.
+// Result without running any Q-step; the caller still runs Q8
+// (Elementary), whose rows no table keeps.
 func TryReuse(db *engine.Database, tr *translator.Translation) (*Result, bool) {
 	n := tr.Names
 	if _, ok := db.Catalog().Table(n.Meta); !ok {
@@ -236,16 +291,13 @@ func TryReuse(db *engine.Database, tr *translator.Translation) (*Result, bool) {
 			return nil, false // the source changed since it was encoded
 		}
 	}
-	// The core's input tables must still exist.
+	// The core's input tables, and Q8's, must still exist.
 	needed := []string{n.CodedSource}
 	if !tr.Class.Simple() {
-		needed = append(needed, n.MiningSource) // CodedSource is a view over it
+		needed = []string{n.MiningSource}
 	}
 	if tr.Class.K {
 		needed = append(needed, n.ClusterCouples)
-	}
-	if tr.Class.M {
-		needed = append(needed, n.InputRules)
 	}
 	for _, t := range needed {
 		if !db.Catalog().Exists(t) {

@@ -100,14 +100,34 @@ func TestGeneralPreprocessing(t *testing.T) {
 	}
 	// Elementary rules: body price>=100 (a), head price<100 (b) in a
 	// valid couple of the same group: (a,b) in c1 same-date and c2
-	// same-date. Support 2 ≥ mingroups ✓.
-	n, err = db.QueryInt("SELECT COUNT(DISTINCT mr_gid) FROM mr_g_inputrules")
-	if err != nil || n != 2 {
-		t.Errorf("input-rule groups = %d (%v)", n, err)
+	// same-date. Q8 hands both rows to the core (support 2 ≥ mingroups
+	// is the core's check) and records itself as the last step.
+	a, err := db.QueryInt("SELECT mr_bid FROM mr_g_bset WHERE item = 'a'")
+	if err != nil {
+		t.Fatal(err)
 	}
-	n, err = db.QueryInt("SELECT COUNT(*) FROM mr_g_largerules WHERE mr_scount >= 2")
-	if err != nil || n != 1 {
-		t.Errorf("large elementary rules = %d (%v)", n, err)
+	b, err := db.QueryInt("SELECT mr_bid FROM mr_g_bset WHERE item = 'b'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := make(map[int64]bool)
+	for _, e := range res.Elementary {
+		if int64(e.Body) != a || int64(e.Head) != b || e.Ctx.BC != e.Ctx.HC {
+			t.Errorf("elementary rule %+v, want (%d,%d) in one cluster", e, a, b)
+		}
+		groups[e.Ctx.G] = true
+	}
+	if len(res.Elementary) != 2 || len(groups) != 2 {
+		t.Errorf("elementary rules = %+v, want one row in each of 2 groups", res.Elementary)
+	}
+	if last := res.StepDurations[len(res.StepDurations)-1]; last.Name != "Q8" || last.Rows != 2 || last.Stmts != 1 {
+		t.Errorf("last step = %+v, want Q8 with 1 statement and 2 rows", last)
+	}
+	// Nothing stores the elementary rules.
+	for _, name := range []string{"mr_g_elementaryrules", "mr_g_largerules", "mr_g_inputrules", "mr_g_codedsource"} {
+		if db.Catalog().Exists(name) {
+			t.Errorf("working object %s exists", name)
+		}
 	}
 }
 

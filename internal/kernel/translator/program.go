@@ -36,14 +36,16 @@ type Program struct {
 	Q6 []string
 	// Q7: valid cluster pair selection, when K.
 	Q7 []string
-	// Q4: CodedSource (simple) or MiningSource+CodedSource view
-	// (general; the paper's Q4b and Q11).
+	// Q4: CodedSource (simple) or MiningSource (general; the paper's
+	// Q4b).
 	Q4 []string
-	// Q8, Q9, Q10: elementary rules, their supports, and the pruned
-	// InputRules, when M (Q10 uses MinGroupsPlaceholder).
-	Q8  []string
-	Q9  []string
-	Q10 []string
+	// Q8: the elementary-rule query, when M. It is one SELECT whose
+	// rows stream into the core, which deduplicates each rule's contexts
+	// and prunes rules below :mingroups itself; so the paper's DISTINCT,
+	// its Q9 support count and its Q10 InputRules table are not built.
+	// It runs after every other step, also when the encoded tables are
+	// reused.
+	Q8 string
 	// OutputSetup creates the encoded output tables the core operator
 	// fills (OutputRules/OutputBodies/OutputHeads, §4.4).
 	OutputSetup []string
@@ -86,10 +88,10 @@ func (p *Program) Steps() []struct {
 	add("Q6", p.Q6)
 	add("Q7", p.Q7)
 	add("Q4", p.Q4)
-	add("Q8", p.Q8)
-	add("Q9", p.Q9)
-	add("Q10", p.Q10)
 	add("output", p.OutputSetup)
+	if p.Q8 != "" {
+		add("Q8", []string{p.Q8})
+	}
 	return out
 }
 
@@ -106,6 +108,12 @@ func (tr *Translation) TotalGroupsQuery() string {
 		return tr.Program.Q1
 	}
 	return tr.Program.Q1 + " -- folded into Q2: totg = rows inserted into " + tr.Names.ValidGroups
+}
+
+// ElementaryQuery is Q8 as EXPLAIN shows it: the query, with a trailing
+// comment naming where its rows go and the paper steps it replaces.
+func (tr *Translation) ElementaryQuery() string {
+	return tr.Program.Q8 + " -- streams into the core, which deduplicates and prunes at :mingroups: replaces the paper's Q8 INSERT, Q9 and Q10"
 }
 
 // generate fills tr.Program from the checked, classified statement.
@@ -164,9 +172,8 @@ func (tr *Translation) generate() error {
 	addCleanup("TABLE",
 		n.ValidGroups, n.GroupsInBody, n.Bset, n.GroupsInHead, n.Hset,
 		n.Clusters, n.ClusterCouples, n.MiningSource, n.CodedSource,
-		n.Elementary, n.LargeRules, n.InputRules, n.OutputRules,
-		n.OutputBodies, n.OutputHeads, n.Meta, n.Source)
-	addCleanup("VIEW", n.ValidGroupsView, n.CodedSource, n.Source)
+		n.OutputRules, n.OutputBodies, n.OutputHeads, n.Meta, n.Source)
+	addCleanup("VIEW", n.ValidGroupsView, n.Source)
 	addCleanup("SEQUENCE", n.GidSeq, n.BidSeq, n.HidSeq, n.CidSeq)
 
 	// ---- Q0: Source -----------------------------------------------------
@@ -310,34 +317,19 @@ func (tr *Translation) generate() error {
 					n.MiningSource, sel, mineSel, src, n.ValidGroups, n.Hset,
 					fromClusters, groupJoin, headJoin, clusterJoin))
 		}
-
-		// Q11: CodedSource hides the mining attributes from the core.
-		coded := "mr_gid"
-		if cl.C {
-			coded += ", mr_cid"
-		}
-		coded += ", mr_bid"
-		if cl.H {
-			coded += ", mr_hid"
-		}
-		p.Q4 = append(p.Q4, fmt.Sprintf("CREATE VIEW %s AS SELECT %s FROM %s",
-			n.CodedSource, coded, n.MiningSource))
 	}
 
-	// ---- Q8/Q9/Q10: elementary rules under the mining condition -----------
+	// ---- Q8: elementary rules under the mining condition ------------------
 	if cl.M {
 		cond := tr.rewriteRoles(st.MiningCond, "b", "h")
 		hidCol := "mr_bid"
 		if cl.H {
 			hidCol = "mr_hid"
 		}
-		cols := "mr_gid INTEGER"
 		sel := "b.mr_gid"
 		if cl.C {
-			cols += ", mr_bcid INTEGER, mr_hcid INTEGER"
 			sel += ", b.mr_cid AS mr_bcid, h.mr_cid AS mr_hcid"
 		}
-		cols += ", mr_bid INTEGER, mr_hid INTEGER"
 		sel += fmt.Sprintf(", b.mr_bid, h.%s AS mr_hid", hidCol)
 
 		where := "b.mr_gid = h.mr_gid"
@@ -352,26 +344,7 @@ func (tr *Translation) generate() error {
 			where += " AND cc.mr_gid = b.mr_gid AND cc.mr_bcid = b.mr_cid AND cc.mr_hcid = h.mr_cid"
 		}
 		where += " AND " + cond.SQL()
-
-		p.Q8 = append(p.Q8,
-			fmt.Sprintf("CREATE TABLE %s (%s)", n.Elementary, cols),
-			fmt.Sprintf("INSERT INTO %s (SELECT DISTINCT %s FROM %s WHERE %s)",
-				n.Elementary, sel, from, where))
-
-		p.Q9 = append(p.Q9,
-			fmt.Sprintf("CREATE TABLE %s (mr_bid INTEGER, mr_hid INTEGER, mr_scount INTEGER)", n.LargeRules),
-			fmt.Sprintf("INSERT INTO %s (SELECT mr_bid, mr_hid, COUNT(DISTINCT mr_gid) AS mr_scount FROM %s GROUP BY mr_bid, mr_hid)",
-				n.LargeRules, n.Elementary))
-
-		esel := "e.mr_gid"
-		if cl.C {
-			esel += ", e.mr_bcid, e.mr_hcid"
-		}
-		esel += ", e.mr_bid, e.mr_hid"
-		p.Q10 = append(p.Q10,
-			fmt.Sprintf("CREATE TABLE %s (%s)", n.InputRules, cols),
-			fmt.Sprintf("INSERT INTO %s (SELECT %s FROM %s e, %s l WHERE e.mr_bid = l.mr_bid AND e.mr_hid = l.mr_hid AND l.mr_scount >= %s)",
-				n.InputRules, esel, n.Elementary, n.LargeRules, MinGroupsPlaceholder))
+		p.Q8 = fmt.Sprintf("SELECT %s FROM %s WHERE %s", sel, from, where)
 	}
 
 	// ---- Encoded output tables (§4.4) --------------------------------------

@@ -15,7 +15,7 @@ import (
 // belongs to. Seeing one means the translator produced a program the
 // engine would reject — a translator bug, caught before any row moves.
 type SelfCheckError struct {
-	Step string // paper step name: Q0 … Q10, output, decode
+	Step string // paper step name: Q0 … Q8, output, decode
 	SQL  string // the offending statement (placeholders substituted)
 	Err  error  // the underlying diagnostic (*semck.Error or parse error)
 }
@@ -55,7 +55,7 @@ func (tr *Translation) programKey() string {
 	}
 	for _, sqls := range [][]string{
 		p.Q0, {p.Q1}, p.Q2, p.Q3, p.Q5, p.Q6, p.Q7,
-		p.Q4, p.Q8, p.Q9, p.Q10, p.OutputSetup, p.Decode,
+		p.Q4, p.OutputSetup, {p.Q8}, p.Decode,
 	} {
 		for _, q := range sqls {
 			b.WriteString(q)
@@ -132,6 +132,10 @@ func (tr *Translation) SelfCheck(base semck.Catalog) error {
 	}
 
 	p := &tr.Program
+	var q8 []string
+	if p.Q8 != "" {
+		q8 = []string{p.Q8}
+	}
 	for _, s := range []struct {
 		name string
 		sqls []string
@@ -144,10 +148,8 @@ func (tr *Translation) SelfCheck(base semck.Catalog) error {
 		{"Q6", p.Q6},
 		{"Q7", p.Q7},
 		{"Q4", p.Q4},
-		{"Q8", p.Q8},
-		{"Q9", p.Q9},
-		{"Q10", p.Q10},
 		{"output", p.OutputSetup},
+		{"Q8", q8},
 		{"decode", p.Decode},
 	} {
 		if err := check(s.name, s.sqls); err != nil {

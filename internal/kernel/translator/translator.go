@@ -66,10 +66,7 @@ type Names struct {
 	Clusters        string // Q6
 	ClusterCouples  string // Q7
 	MiningSource    string // Q4b
-	CodedSource     string // Q4 / Q11
-	Elementary      string // Q8
-	LargeRules      string // Q9
-	InputRules      string // Q10
+	CodedSource     string // Q4 (simple class)
 	OutputRules     string // core → postprocessor
 	OutputBodies    string
 	OutputHeads     string
@@ -103,9 +100,6 @@ func makeNames(output string) Names {
 		ClusterCouples:  p + "clustercouples",
 		MiningSource:    p + "miningsource",
 		CodedSource:     p + "codedsource",
-		Elementary:      p + "elementaryrules",
-		LargeRules:      p + "largerules",
-		InputRules:      p + "inputrules",
 		OutputRules:     p + "outputrules",
 		OutputBodies:    p + "outputbodies",
 		OutputHeads:     p + "outputheads",

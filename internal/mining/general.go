@@ -1,6 +1,10 @@
 package mining
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // This file implements the general core processing of §4.3.2: rule
 // discovery over the m×n rule lattice, starting from elementary (1×1)
@@ -22,14 +26,15 @@ type Ctx struct {
 	HC int64 // head cluster
 }
 
-func ctxLess(a, b Ctx) bool {
-	if a.G != b.G {
-		return a.G < b.G
+// cmpCtx orders contexts by group, then body and head cluster.
+func cmpCtx(a, b Ctx) int {
+	switch {
+	case a.G != b.G:
+		return cmp.Compare(a.G, b.G)
+	case a.BC != b.BC:
+		return cmp.Compare(a.BC, b.BC)
 	}
-	if a.BC != b.BC {
-		return a.BC < b.BC
-	}
-	return a.HC < b.HC
+	return cmp.Compare(a.HC, b.HC)
 }
 
 // GC is a (group, cluster) occurrence of an item in a role.
@@ -73,7 +78,8 @@ type GroupData struct {
 	Couples [][2]int64
 }
 
-// ElemOcc is one elementary rule occurrence row (from InputRules).
+// ElemOcc is one elementary rule occurrence: one row of the
+// preprocessor's Q8.
 type ElemOcc struct {
 	Body, Head Item
 	Ctx        Ctx
@@ -87,9 +93,10 @@ type GeneralInput struct {
 	// SameAttr is true when body and head share one item encoding (¬H);
 	// rule bodies and heads are then kept disjoint.
 	SameAttr bool
-	// Elementary, when non-nil, is the preprocessor-computed InputRules
-	// (M true): the elementary rules with their contexts. When nil the
-	// core derives elementary rules from Groups (the non-materialized
+	// Elementary, when non-nil, is the rows of the preprocessor's Q8
+	// (M true): the elementary rules with their contexts, possibly
+	// repeated and not yet pruned by support. When nil the core
+	// derives elementary rules from Groups (the non-materialized
 	// cartesian product of §4.3.2).
 	Elementary []ElemOcc
 }
@@ -257,40 +264,80 @@ func MineGeneral(in *GeneralInput, opts Options) []Rule {
 }
 
 // elementaryContexts produces the pruned map pair → sorted context list,
-// either from the preprocessor's InputRules or by streaming the
-// per-group cluster-pair cartesian product.
+// either from the preprocessor's Q8 rows or by streaming the per-group
+// cluster-pair cartesian product. Deduplicating each pair's contexts is
+// the paper's Q8 DISTINCT; dropping pairs in fewer than minCount groups
+// is its Q9 and Q10.
 func elementaryContexts(in *GeneralInput, minCount int) map[pairKey][]Ctx {
-	elem := make(map[pairKey][]Ctx)
-	if in.Elementary != nil {
-		for _, e := range in.Elementary {
-			elem[pairKey{e.Body, e.Head}] = append(elem[pairKey{e.Body, e.Head}], e.Ctx)
-		}
-	} else {
+	occ := in.Elementary
+	if occ == nil {
 		for _, g := range in.Groups {
 			for _, pair := range validPairs(in, g) {
-				bitems := g.BodyClusters[pair[0]]
-				hitems := g.HeadClusters[pair[1]]
-				for _, b := range bitems {
-					for _, h := range hitems {
-						if in.SameAttr && b == h {
-							continue
+				for _, b := range g.BodyClusters[pair[0]] {
+					for _, h := range g.HeadClusters[pair[1]] {
+						if !in.SameAttr || b != h {
+							occ = append(occ, ElemOcc{b, h, Ctx{G: g.Gid, BC: pair[0], HC: pair[1]}})
 						}
-						pk := pairKey{b, h}
-						elem[pk] = append(elem[pk], Ctx{G: g.Gid, BC: pair[0], HC: pair[1]})
 					}
 				}
 			}
 		}
 	}
-	for pk, ctxs := range elem {
-		ctxs = normalizeCtxs(ctxs)
-		if distinctGroups(ctxs) < minCount {
-			delete(elem, pk)
-			continue
+	// Bucket the occurrences by pair with a counting sort on a dense
+	// pair id. A pair with fewer occurrences than minCount cannot hold
+	// in minCount groups, and gets no room.
+	id := make(map[pairKey]int32)
+	var pairs []pairKey
+	ids := make([]int32, len(occ))
+	for i, e := range occ {
+		k, ok := id[pairKey{e.Body, e.Head}]
+		if !ok {
+			k = int32(len(pairs))
+			id[pairKey{e.Body, e.Head}] = k
+			pairs = append(pairs, pairKey{e.Body, e.Head})
 		}
-		elem[pk] = ctxs
+		ids[i] = k
+	}
+	end := make([]int32, len(pairs)+1) // occurrence counts, then offsets
+	for _, k := range ids {
+		end[k+1]++
+	}
+	for k := range pairs {
+		if end[k+1] < int32(minCount) {
+			end[k+1] = 0
+		}
+		end[k+1] += end[k]
+	}
+	ctxs := make([]Ctx, end[len(pairs)])
+	next := slices.Clone(end[:len(pairs)])
+	for i, k := range ids {
+		if next[k] < end[k+1] {
+			ctxs[next[k]] = occ[i].Ctx
+			next[k]++
+		}
+	}
+	elem := make(map[pairKey][]Ctx)
+	for k, pk := range pairs {
+		list := ctxs[end[k]:end[k+1]]
+		slices.SortFunc(list, cmpCtx)
+		if list = slices.Clip(slices.Compact(list)); distinctGroups(list) >= minCount {
+			elem[pk] = list
+		}
 	}
 	return elem
+}
+
+// KeptContexts returns the contexts the core keeps for each elementary
+// rule (body, head) of in at minCount: deduplicated, sorted, and only
+// for rules in at least minCount groups. It is the lattice's first
+// level, exposed so a test can hold it to the paper's InputRules.
+func KeptContexts(in *GeneralInput, minCount int) map[[2]Item][]Ctx {
+	elem := elementaryContexts(in, minCount)
+	out := make(map[[2]Item][]Ctx, len(elem))
+	for pk, ctxs := range elem {
+		out[[2]Item{pk.b, pk.h}] = ctxs
+	}
+	return out
 }
 
 // validPairs expands the pair policy for one group.
@@ -383,17 +430,6 @@ func itemIn(items []Item, it Item) bool {
 	return false
 }
 
-func normalizeCtxs(ctxs []Ctx) []Ctx {
-	sort.Slice(ctxs, func(i, j int) bool { return ctxLess(ctxs[i], ctxs[j]) })
-	out := ctxs[:0]
-	for i, c := range ctxs {
-		if i == 0 || c != ctxs[i-1] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func distinctGroups(ctxs []Ctx) int {
 	count := 0
 	var prev int64 = -1 << 62
@@ -415,7 +451,7 @@ func intersectCtx(a, b []Ctx) []Ctx {
 			out = append(out, a[i])
 			i++
 			j++
-		case ctxLess(a[i], b[j]):
+		case cmpCtx(a[i], b[j]) < 0:
 			i++
 		default:
 			j++

@@ -92,13 +92,13 @@ type Metrics struct {
 	// begun - committed - rolled back, exported as a gauge like
 	// sessions_active. GroupCommitBatch counts commits that rode a group
 	// fsync; batch size = commits / fsyncs.
-	TxnBegun        Counter // transactions begun (explicit and autocommit)
-	TxnCommitted    Counter // transactions committed
-	TxnRolledBack   Counter // transactions rolled back
-	LockWaits       Counter // lock requests that had to wait
-	LockTimeouts    Counter // lock waits abandoned (timeout or cancel)
-	GroupFsyncs     Counter // group-commit fsyncs performed by a leader
-	GroupCommits    Counter // durable commits acknowledged via group commit
+	TxnBegun      Counter // transactions begun (explicit and autocommit)
+	TxnCommitted  Counter // transactions committed
+	TxnRolledBack Counter // transactions rolled back
+	LockWaits     Counter // lock requests that had to wait
+	LockTimeouts  Counter // lock waits abandoned (timeout or cancel)
+	GroupFsyncs   Counter // group-commit fsyncs performed by a leader
+	GroupCommits  Counter // durable commits acknowledged via group commit
 
 	// Network service (internal/server): connection and session flow.
 	// Active sessions = opened - closed; both only ever increase, so the

@@ -56,6 +56,39 @@ func TestExecutorMatchesModel(t *testing.T) {
 	}
 }
 
+// TestModelJoinPlans pins the plans the join templates exist for:
+// EXPLAIN shows the planner joining the filtered t3 first, not t1, and
+// the last join of each query streaming into the residual filter.
+func TestModelJoinPlans(t *testing.T) {
+	db, _ := modelSetup(t, modelSeed(t))
+	for _, c := range []struct {
+		q     string
+		joins int
+	}{{"SELECT t1.c" + reorderedJoin, 2}, {"SELECT t1.c" + filteredJoin, 1}} {
+		res, err := db.Query("EXPLAIN " + c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joins []string
+		filtered := false
+		for _, r := range res.Rows {
+			line := strings.TrimSpace(r[0].String())
+			switch {
+			case strings.HasPrefix(line, "join "):
+				joins = append(joins, line)
+			case strings.HasPrefix(line, "filter cond=(t1.b < t2.d)"):
+				filtered = len(joins) == c.joins
+			}
+		}
+		if len(joins) != c.joins || !strings.Contains(joins[len(joins)-1], "output=streamed") || !filtered {
+			t.Fatalf("%s: the last join does not stream into the residual filter: %v", c.q, joins)
+		}
+		if c.joins == 2 && strings.Contains(joins[0], "rows_left=3000 ") {
+			t.Errorf("%s: the planner kept the written order: %v", c.q, joins)
+		}
+	}
+}
+
 // modelSeed is the data seed: EXEC_MODEL_SEED when set, so a sweep can
 // rotate it, else 7.
 func modelSeed(t *testing.T) int64 {
@@ -431,6 +464,22 @@ func t1t2(m *modelData) []schema.Row {
 	return inner(m.t1, m.t2, func(l, r schema.Row) bool { return eq(l[t1a], r[t2a]) })
 }
 
+// The FROM/WHERE of the reordered three-table join (see
+// TestModelJoinPlans) and of the two-table join under a residual
+// filter.
+const (
+	reorderedJoin = " FROM t1, t2, t3 WHERE t1.a = t3.a AND t2.a = t3.a AND t3.e < 2 AND t1.b < t2.d"
+	filteredJoin  = " FROM t1, t2 WHERE t1.a = t2.a AND t1.b < t2.d"
+)
+
+// t1t2t3 is the reordered join's rows in FROM-list column order: t1's,
+// t2's, then t3's.
+func t1t2t3(m *modelData) []schema.Row {
+	t3 := where(m.t3, func(r schema.Row) bool { return lt(r[t3e], num(2)) })
+	j := inner(t1t2(m), t3, func(l, r schema.Row) bool { return eq(l[t1a], r[t3a]) && eq(l[3+t2a], r[t3a]) })
+	return where(j, func(r schema.Row) bool { return lt(r[t1b], r[3+t2d]) })
+}
+
 var modelQueries = []modelQuery{
 	{sql: "SELECT a, b, c FROM t1", want: func(m *modelData) []schema.Row {
 		return m.t1
@@ -561,11 +610,42 @@ var modelQueries = []modelQuery{
 		return []schema.Row{{num(0), num(0), value.Null, value.Null}}
 	}},
 	// Three tables over planRowsMin with no edge between the first two:
-	// the cost planner reorders the joins and remaps the columns back.
+	// the cost planner reorders the joins, and the last one writes the
+	// FROM-list column order.
 	{sql: "SELECT t1.c, t2.d, t3.e FROM t1, t2, t3 WHERE t1.a = t3.a AND t2.a = t3.a AND t3.e < 2", want: func(m *modelData) []schema.Row {
 		t3 := where(m.t3, func(r schema.Row) bool { return lt(r[t3e], num(2)) })
 		j := inner(t1t2(m), t3, func(l, r schema.Row) bool { return eq(l[t1a], r[t3a]) && eq(l[3+t2a], r[t3a]) })
 		return project(j, t1c, 3+t2d, 5+t3e)
+	}},
+	// The planner joins t3, then t2, then t1; the last join streams
+	// each row in FROM-list column order into the filter on t1.b <
+	// t2.d, which spans two tables and passes the volatile rows on in
+	// place. Every consumer that retains rows must copy them.
+	{sql: "SELECT t1.c, t2.d, t3.e, t1.b" + reorderedJoin, want: func(m *modelData) []schema.Row {
+		return project(t1t2t3(m), t1c, 3+t2d, 5+t3e, t1b)
+	}},
+	{sql: "SELECT DISTINCT t1.c, t3.e" + reorderedJoin, want: func(m *modelData) []schema.Row {
+		return distinct(project(t1t2t3(m), t1c, 5+t3e))
+	}},
+	// Group keys with many values, so some group's first row lands in
+	// the join's recycled block.
+	{sql: "SELECT t1.a, t3.e, COUNT(DISTINCT t2.d), COUNT(*)" + reorderedJoin + " GROUP BY t1.a, t3.e", want: func(m *modelData) []schema.Row {
+		return groupBy(t1t2t3(m), []int{t1a, 5 + t3e}, func(g []schema.Row) schema.Row {
+			return schema.Row{g[0][t1a], g[0][5+t3e], countDistinct(nonNull(g, 3+t2d)), num(int64(len(g)))}
+		})
+	}},
+	// ORDER BY columns the projection drops: the streamed rows are
+	// materialized and sorted before projection.
+	{sql: "SELECT t1.c, t3.e" + reorderedJoin + " ORDER BY t3.e DESC, t1.a, t1.b, t2.d, t1.c", ordered: true, want: func(m *modelData) []schema.Row {
+		rows := orderBy(t1t2t3(m), sortKey{col: 5 + t3e, desc: true}, sortKey{col: t1a}, sortKey{col: t1b}, sortKey{col: 3 + t2d}, sortKey{col: t1c})
+		return project(rows, t1c, 5+t3e)
+	}},
+	// A two-table streaming join under a residual filter feeds GROUP BY.
+	{sql: "SELECT t1.a, COUNT(*), SUM(t2.d), COUNT(DISTINCT t1.c)" + filteredJoin + " GROUP BY t1.a", want: func(m *modelData) []schema.Row {
+		j := where(t1t2(m), func(r schema.Row) bool { return lt(r[t1b], r[3+t2d]) })
+		return groupBy(j, []int{t1a}, func(g []schema.Row) schema.Row {
+			return schema.Row{g[0][t1a], num(int64(len(g))), sum(nonNull(g, 3+t2d)), countDistinct(nonNull(g, t1c))}
+		})
 	}},
 	// LEFT JOIN with a residual ON conjunct: a left row whose equi
 	// partners all fail the residual is padded, not dropped.

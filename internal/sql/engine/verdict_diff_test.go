@@ -38,7 +38,7 @@ EXTRACTING RULES WITH SUPPORT: 0.01, CONFIDENCE: 0.2`
 )
 
 // kernelCorpus returns every statement the kernel's translation of stmt
-// executes (cleanup drops, Q0–Q10, output setup, decode), with the
+// executes (cleanup drops, Q0–Q8, output setup, decode), with the
 // support placeholder substituted.
 func kernelCorpus(t *testing.T, db *engine.Database, stmt string) []string {
 	t.Helper()

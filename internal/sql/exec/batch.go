@@ -36,8 +36,8 @@ type batch struct {
 // (consumers use it to presize output buffers); -1 when unknown.
 //
 // volatile reports whether the row *storage* is also recycled between
-// NextBatch calls: a volatile source (the streaming hash join) rebuilds
-// its rows in a reused scratch block, so consumers that retain a
+// NextBatch calls: a volatile source (the streaming hash join, and a
+// filter over it) rebuilds its rows in a reused scratch block, so consumers that retain a
 // schema.Row beyond the next NextBatch call must copy it first. Rows
 // from a non-volatile source may be retained as-is. Individual
 // value.Value elements are always safe to copy out either way.
@@ -191,15 +191,17 @@ func materialize(src batchSource) (*relation, error) {
 	}
 }
 
-// filterSource keeps the rows for which cond is TRUE, refilling its
-// output window from as many input batches as needed.
+// filterSource keeps the rows for which cond is TRUE. Over a stable
+// source it refills its output window from as many input batches as
+// needed. Over a volatile source it filters one input batch per
+// NextBatch and hands the survivors on in place, so it is volatile in
+// turn: the consumers that retain rows copy them (see batchSource).
 type filterSource struct {
 	rt     *Runtime
 	src    batchSource
 	fn     evalFunc
 	out    []schema.Row
-	vol    bool     // src recycles row storage; copy survivors
-	arena  rowArena // backs the copies when vol
+	vol    bool // src recycles row storage between batches
 	b      batch
 	done   bool
 	rowsIn int64
@@ -228,9 +230,7 @@ func (f *filterSource) Schema() *schema.Schema { return f.src.Schema() }
 // sizeHint: a filter can only shrink its input.
 func (f *filterSource) sizeHint() int { return f.src.sizeHint() }
 
-// volatile: survivors of a volatile input are copied into the filter's
-// own arena, so downstream consumers may retain them.
-func (f *filterSource) volatile() bool { return false }
+func (f *filterSource) volatile() bool { return f.vol }
 
 func (f *filterSource) NextBatch() (*batch, error) {
 	if f.done {
@@ -238,7 +238,9 @@ func (f *filterSource) NextBatch() (*batch, error) {
 	}
 	start := time.Now()
 	out := f.out[:0]
-	for len(out) < batchSize {
+	// A volatile input's rows die at its next NextBatch, so the window
+	// closes after the first input batch with a survivor.
+	for len(out) < batchSize && !(f.vol && len(out) > 0) {
 		in, err := f.src.NextBatch()
 		if err != nil {
 			return nil, err
@@ -258,11 +260,6 @@ func (f *filterSource) NextBatch() (*batch, error) {
 				return nil, err
 			}
 			if t == value.True {
-				if f.vol {
-					cp := f.arena.alloc(len(row))
-					copy(cp, row)
-					row = cp
-				}
 				out = append(out, row)
 			}
 		}

@@ -2,9 +2,9 @@ package exec
 
 // batchops.go holds the batch-consuming operators of the vectorized
 // path: projection (with streaming DISTINCT), streaming GROUP BY
-// aggregation, the build-side-aware batched hash join, and the column
-// remap that restores canonical column order after the planner reorders
-// a FROM list.
+// aggregation, and the build-side-aware batched hash join, whose last
+// join writes canonical column order when the planner reorders a FROM
+// list.
 
 import (
 	"encoding/binary"
@@ -478,80 +478,74 @@ func (rt *Runtime) group(s *parse.Select, src batchSource) (*relation, error) {
 // schemas.
 type keyPair struct{ l, r int }
 
-// hashJoin joins left and right on the given equi-key pairs,
-// building the hash table on the smaller input (whichever side it is)
-// and probing the larger in batches. Output columns stay in
-// left-then-right order regardless of build side; output rows carve
-// from an arena.
-func (rt *Runtime) hashJoin(left, right *relation, keys []keyPair) ([]schema.Row, string, error) {
-	buildRel, probeRel := right, left
-	buildSide := "right"
-	if len(left.rows) < len(right.rows) {
-		buildRel, probeRel = left, right
-		buildSide = "left"
-	}
-	buildCols := make([]int, len(keys))
-	probeCols := make([]int, len(keys))
-	for i, k := range keys {
-		if buildSide == "left" {
-			buildCols[i], probeCols[i] = k.l, k.r
-		} else {
-			buildCols[i], probeCols[i] = k.r, k.l
-		}
-	}
-
-	build, err := rt.buildJoinTable(buildRel.rows, buildCols)
-	if err != nil {
-		return nil, buildSide, err
-	}
-
-	// Probe phase. Presize the output for the key-foreign-key case
-	// (about one match per probe row of the smaller input).
-	lw := left.schema.Len()
-	w := lw + right.schema.Len()
-	var arena rowArena
-	var kb []byte
-	out := make([]schema.Row, 0, len(buildRel.rows))
-	for base := 0; base < len(probeRel.rows); base += batchSize {
-		end := base + batchSize
-		if end > len(probeRel.rows) {
-			end = len(probeRel.rows)
-		}
-		emitted := 0
-		for i := base; i < end; i++ {
-			probe := probeRel.rows[i]
-			var ok bool
-			if kb, ok = appendJoinKey(kb[:0], probe, probeCols); !ok {
-				continue
-			}
-			for _, bi := range build.bucket(kb) {
-				var l, r schema.Row
-				if buildSide == "left" {
-					l, r = buildRel.rows[bi], probe
-				} else {
-					l, r = probe, buildRel.rows[bi]
-				}
-				o := arena.alloc(w)
-				copy(o, l)
-				copy(o[lw:], r)
-				out = append(out, o)
-				emitted++
-			}
-		}
-		if err := rt.charge(emitted); err != nil {
-			return nil, buildSide, err
-		}
-		rt.noteBatch(emitted)
-	}
-	return out, buildSide, nil
+// placement lays out a join's output row. The zero value keeps the left
+// input's columns, then the right's. When the planner reordered a FROM
+// list, the last join carries the map that puts every input column at
+// its canonical (FROM-list) position, so the joined rows never need a
+// second pass to restore that order.
+type placement struct {
+	sch         *schema.Schema // canonical output schema; nil = left then right
+	left, right []int          // output position of each input column
 }
 
-// hashJoinSource is the streaming form of the hash join, used when the
-// join output feeds straight into the batched pipeline (a single
-// two-element FROM list): combined rows build into one scratch block
-// that is recycled every NextBatch, so the joined intermediate relation
-// is never materialized. The source is volatile — consumers that retain
-// rows copy them (see batchSource).
+// finalPlacement is the layout of the last join when the FROM elements
+// joined in the given order: its left input holds order[:n-1] in
+// executed order, its right input is elems[order[n-1]].
+func finalPlacement(elems []fromElem, order []int) placement {
+	off := make([]int, len(elems)) // canonical offset of each element
+	sch := elems[0].rel.schema
+	w := sch.Len()
+	for i := 1; i < len(elems); i++ {
+		off[i] = w
+		w += elems[i].rel.schema.Len()
+		sch = sch.Append(elems[i].rel.schema)
+	}
+	p := placement{sch: sch}
+	last := order[len(order)-1]
+	for _, idx := range order[:len(order)-1] {
+		for c := 0; c < elems[idx].rel.schema.Len(); c++ {
+			p.left = append(p.left, off[idx]+c)
+		}
+	}
+	for c := 0; c < elems[last].rel.schema.Len(); c++ {
+		p.right = append(p.right, off[last]+c)
+	}
+	return p
+}
+
+// schema is the output schema of joining l and r under p.
+func (p placement) schema(l, r *schema.Schema) *schema.Schema {
+	if p.sch != nil {
+		return p.sch
+	}
+	return l.Append(r)
+}
+
+// put writes the combination of l and r into o.
+func (p placement) put(o, l, r schema.Row) {
+	if p.sch == nil {
+		copy(o, l)
+		copy(o[len(l):], r)
+		return
+	}
+	for i, d := range p.left {
+		o[d] = l[i]
+	}
+	for i, d := range p.right {
+		o[d] = r[i]
+	}
+}
+
+// hashJoinSource is the batched hash join: it hashes the smaller input
+// and probes with the larger, writing each combined row through the
+// join's placement, so rows come out in canonical column order even
+// when the planner reordered the FROM list. For the last keyed join of
+// a FROM list the output feeds straight into the batched pipeline:
+// combined rows build into one scratch block that is recycled every
+// NextBatch, so the joined relation is never materialized, and the
+// source is volatile (consumers that retain rows copy them, see
+// batchSource). An earlier join keeps its rows, carving them from an
+// arena, and is drained into a relation for the next join.
 type hashJoinSource struct {
 	rt          *Runtime
 	sch         *schema.Schema
@@ -560,7 +554,10 @@ type hashJoinSource struct {
 	build       *joinTable
 	probeCols   []int
 	buildIsLeft bool
-	lw, w       int
+	place       placement
+	keep        bool     // rows outlive the batch: carve from arena
+	arena       rowArena // backs the rows when keep
+	w           int
 	pos         int // next probe row
 	kb          []byte
 	buf         []value.Value // recycled row storage
@@ -573,10 +570,9 @@ type hashJoinSource struct {
 	done        bool
 }
 
-// newHashJoinSource hashes the smaller input and returns the streaming
-// probe source. Span attributes and the trace line match the
-// materializing join operator.
-func (rt *Runtime) newHashJoinSource(left, right *relation, keys []keyPair) (*hashJoinSource, error) {
+// newHashJoinSource hashes the smaller input and returns the probe
+// source; keep makes its rows outlive their batch.
+func (rt *Runtime) newHashJoinSource(left, right *relation, keys []keyPair, place placement, keep bool) (*hashJoinSource, error) {
 	sp, parent := rt.pushOp("join")
 	start := time.Now()
 	buildRel, probeRel := right, left
@@ -596,12 +592,13 @@ func (rt *Runtime) newHashJoinSource(left, right *relation, keys []keyPair) (*ha
 	}
 	s := &hashJoinSource{
 		rt:          rt,
-		sch:         left.schema.Append(right.schema),
+		sch:         place.schema(left.schema, right.schema),
 		buildRows:   buildRel.rows,
 		probeRows:   probeRel.rows,
 		probeCols:   probeCols,
 		buildIsLeft: buildSide == "left",
-		lw:          left.schema.Len(),
+		place:       place,
+		keep:        keep,
 		sp:          sp,
 	}
 	s.w = s.sch.Len()
@@ -623,6 +620,9 @@ func (rt *Runtime) newHashJoinSource(left, right *relation, keys []keyPair) (*ha
 		}
 		sp.SetInt("est_rows", est)
 		sp.SetStr("build", buildSide)
+		if !keep {
+			sp.SetStr("output", "streamed")
+		}
 	}
 	rt.popOp(sp, parent)
 	s.spent = time.Since(start)
@@ -635,14 +635,18 @@ func (s *hashJoinSource) Schema() *schema.Schema { return s.sch }
 // remaining probe row.
 func (s *hashJoinSource) sizeHint() int { return len(s.probeRows) - s.pos }
 
-func (s *hashJoinSource) volatile() bool { return true }
+func (s *hashJoinSource) volatile() bool { return !s.keep }
 
-// alloc carves one output row from the recycled block. When the block
-// fills mid-batch a bigger one is allocated (geometric growth up to
-// batchSize rows, so tiny joins stay tiny); rows already carved keep
-// referencing the old block, which stays reachable through their headers
-// until the next NextBatch resets the source.
+// alloc carves one output row: from the arena when the rows are kept,
+// else from the recycled block. When the block fills mid-batch a bigger
+// one is allocated (geometric growth up to batchSize rows, so tiny joins
+// stay tiny); rows already carved keep referencing the old block, which
+// stays reachable through their headers until the next NextBatch resets
+// the source.
 func (s *hashJoinSource) alloc() schema.Row {
+	if s.keep {
+		return s.arena.alloc(s.w)
+	}
 	if len(s.buf)+s.w > cap(s.buf) {
 		c := 2 * cap(s.buf)
 		if c == 0 {
@@ -676,23 +680,30 @@ func (s *hashJoinSource) NextBatch() (*batch, error) {
 	out := s.out[:0]
 	s.buf = s.buf[:0]
 	probed := 0
-	for s.pos < len(s.probeRows) && len(out) < batchSize {
+	for s.pos < len(s.probeRows) {
 		probe := s.probeRows[s.pos]
-		s.pos++
-		probed++
 		kb, ok := appendJoinKey(s.kb[:0], probe, s.probeCols)
 		s.kb = kb
-		if !ok {
-			continue
+		var bucket []int32
+		if ok {
+			bucket = s.build.bucket(kb)
 		}
-		for _, bi := range s.build.bucket(kb) {
+		// A probe row's matches never straddle two batches, and a batch
+		// stays within batchSize rows unless one bucket alone exceeds
+		// it: the recycled block, once grown to batchSize rows, then
+		// holds every batch.
+		if len(out) > 0 && len(out)+len(bucket) > batchSize {
+			break
+		}
+		s.pos++
+		probed++
+		for _, bi := range bucket {
 			l, r := probe, s.buildRows[bi]
 			if s.buildIsLeft {
 				l, r = s.buildRows[bi], probe
 			}
 			o := s.alloc()
-			copy(o, l)
-			copy(o[s.lw:], r)
+			s.place.put(o, l, r)
 			out = append(out, o)
 		}
 	}
@@ -728,19 +739,17 @@ func (s *hashJoinSource) finish() {
 	s.sp.SetDuration(s.spent)
 }
 
-// cartesian is the no-equi-key fallback with arena output and
-// batch-granular accounting.
-func (rt *Runtime) cartesian(left, right *relation) ([]schema.Row, error) {
-	lw := left.schema.Len()
-	w := lw + right.schema.Len()
+// cartesian is the no-equi-key fallback with arena output laid out by
+// place and batch-granular accounting.
+func (rt *Runtime) cartesian(left, right *relation, place placement) ([]schema.Row, error) {
+	w := left.schema.Len() + right.schema.Len()
 	var arena rowArena
 	var out []schema.Row
 	emitted := 0
 	for _, l := range left.rows {
 		for _, r := range right.rows {
 			o := arena.alloc(w)
-			copy(o, l)
-			copy(o[lw:], r)
+			place.put(o, l, r)
 			out = append(out, o)
 			emitted++
 			if emitted >= batchSize {
@@ -759,49 +768,4 @@ func (rt *Runtime) cartesian(left, right *relation) ([]schema.Row, error) {
 		rt.noteBatch(emitted)
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Column remap after join reordering
-
-// remapColumns restores canonical (FROM-list) column order after the
-// planner executed the joins in a different order. One arena pass; only
-// runs when the planner actually reordered, which it does only when the
-// cost model predicts a win that covers this copy.
-func (rt *Runtime) remapColumns(rel *relation, elems []fromElem, order []int) *relation {
-	n := len(elems)
-	widths := make([]int, n)
-	for i, e := range elems {
-		widths[i] = e.rel.schema.Len()
-	}
-	// Offset of each element in the executed (permuted) layout.
-	execOff := make([]int, n)
-	off := 0
-	for _, idx := range order {
-		execOff[idx] = off
-		off += widths[idx]
-	}
-	// src[j] is the executed-layout position of canonical column j.
-	src := make([]int, off)
-	canonical := elems[0].rel.schema
-	j := 0
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			canonical = canonical.Append(elems[i].rel.schema)
-		}
-		for c := 0; c < widths[i]; c++ {
-			src[j] = execOff[i] + c
-			j++
-		}
-	}
-	var arena rowArena
-	out := make([]schema.Row, len(rel.rows))
-	for ri, row := range rel.rows {
-		o := arena.alloc(len(src))
-		for jj, sj := range src {
-			o[jj] = row[sj]
-		}
-		out[ri] = o
-	}
-	return &relation{schema: canonical, rows: out}
 }

@@ -5,9 +5,10 @@ package exec
 // the join order: table statistics supply per-key NDVs, the classic
 // |A ⋈ B| ≈ |A|·|B| / max(ndv(a), ndv(b)) estimate scores each step,
 // and a greedy chain from the smallest element wins — but is adopted
-// only when it beats the written order by enough to pay for the
-// column-remap pass that reordering forces. Decisions are cached per
-// statement and invalidated by catalog version or stats epoch.
+// only when it beats the written order by a clear margin, so a rough
+// estimate never trades a good written order for a guess. Decisions
+// are cached per statement and invalidated by catalog version or stats
+// epoch.
 
 import (
 	"minerule/internal/sql/parse"
@@ -88,8 +89,7 @@ func costOrder(elems []fromElem, conjuncts []parse.Expr, used []bool, identity [
 	n := len(elems)
 	edges := joinEdges(elems, conjuncts, used)
 	if len(edges) == 0 {
-		// All-cartesian FROM lists gain nothing from reordering that
-		// could justify the remap.
+		// All-cartesian FROM lists gain nothing from reordering.
 		return identity
 	}
 	size := make([]float64, n)
@@ -193,8 +193,8 @@ func costOrder(elems []fromElem, conjuncts []parse.Expr, used []bool, identity [
 		inSet[j] = true
 	}
 
-	// Adopt the reorder only when the predicted win clearly covers the
-	// column-remap pass it forces.
+	// Adopt the reorder only when the predicted win is clear: the
+	// estimates are rough.
 	if !isIdentity(order) && greedyCost < 0.7*identityCost {
 		return order
 	}

@@ -241,9 +241,10 @@ func selectHasAggregate(s *parse.Select) bool {
 // buildFrom evaluates the FROM list and performs the joins, consuming
 // WHERE conjuncts as scan filters and equi-join predicates where
 // possible. It returns the joined input as a batch source plus the
-// unconsumed conjuncts. A two-element FROM list joined on hash keys
-// streams (the join output is never materialized); everything else
-// materializes and is served through a sliceSource.
+// unconsumed conjuncts. A last join on hash keys streams (its output is
+// never materialized); everything else materializes and is served
+// through a sliceSource. Either way the rows come out in canonical
+// (FROM-list) column order, whatever order the planner joined in.
 func (rt *Runtime) buildFrom(s *parse.Select) (batchSource, []parse.Expr, error) {
 	if len(s.From) == 0 {
 		// Table-less SELECT: one empty row.
@@ -257,6 +258,15 @@ func (rt *Runtime) buildFrom(s *parse.Select) (batchSource, []parse.Expr, error)
 
 	conjuncts := splitConjuncts(s.Where)
 	used := make([]bool, len(conjuncts))
+	unused := func() []parse.Expr {
+		var rest []parse.Expr
+		for i, c := range conjuncts {
+			if !used[i] {
+				rest = append(rest, c)
+			}
+		}
+		return rest
+	}
 
 	// Scan every FROM element first (consuming index and local
 	// predicates), so the planner sees all cardinalities before any
@@ -291,34 +301,38 @@ func (rt *Runtime) buildFrom(s *parse.Select) (batchSource, []parse.Expr, error)
 	}
 
 	order := rt.planFromOrder(s, elems, conjuncts, used)
+	// Only the last join restores canonical order; the joins before it
+	// keep the executed order, which every conjunct resolves against
+	// by name.
+	var lastPlace placement
+	if !isIdentity(order) {
+		lastPlace = finalPlacement(elems, order)
+	}
 
 	cur := elems[order[0]].rel
 	var err error
 	for n, idx := range order[1:] {
 		right := elems[idx].rel
 		keys := equiJoinKeys(cur, right, conjuncts, used)
-		// Streaming hash join for the final pair: nothing joins
+		var place placement
+		last := n == len(order)-2
+		if last {
+			place = lastPlace
+		}
+		// Streaming hash join for the last pair: nothing joins
 		// afterwards, so the combined rows can flow straight into the
 		// downstream operators out of a recycled scratch block instead
 		// of materializing. Conjuncts over the joined schema stay
 		// unconsumed and become the residual filter, exactly as
-		// applyLocal would have filtered them. Requires canonical column
-		// order (no remap pass after the join).
-		last := n == len(order)-2
-		if last && isIdentity(order) && len(keys) > 0 {
-			src, err := rt.newHashJoinSource(cur, right, keys)
+		// applyLocal would have filtered them.
+		if last && len(keys) > 0 {
+			src, err := rt.newHashJoinSource(cur, right, keys, place, false)
 			if err != nil {
 				return nil, nil, err
 			}
-			var rest []parse.Expr
-			for i, c := range conjuncts {
-				if !used[i] {
-					rest = append(rest, c)
-				}
-			}
-			return src, rest, nil
+			return src, unused(), nil
 		}
-		cur, err = rt.joinKeys(cur, right, keys)
+		cur, err = rt.joinKeys(cur, right, keys, place)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -328,17 +342,7 @@ func (rt *Runtime) buildFrom(s *parse.Select) (batchSource, []parse.Expr, error)
 			return nil, nil, err
 		}
 	}
-	if !isIdentity(order) {
-		cur = rt.remapColumns(cur, elems, order)
-	}
-
-	var rest []parse.Expr
-	for i, c := range conjuncts {
-		if !used[i] {
-			rest = append(rest, c)
-		}
-	}
-	return rt.newSliceSource(cur), rest, nil
+	return rt.newSliceSource(cur), unused(), nil
 }
 
 // scanFor materializes one FROM element, first trying to satisfy an
@@ -837,52 +841,33 @@ func equiJoinKeys(cur, right *relation, conjuncts []parse.Expr, used []bool) []k
 	return keys
 }
 
-// joinKeys combines cur and right. With equi-join keys it performs a
-// hash join; otherwise it falls back to the Cartesian product
-// (subsequent applyLocal passes filter it).
-func (rt *Runtime) joinKeys(cur, right *relation, keys []keyPair) (*relation, error) {
-	sp, parent := rt.pushOp("join")
-	defer rt.popOp(sp, parent)
-
-	var (
-		out []schema.Row
-		err error
-	)
-	if sp != nil {
-		sp.SetInt("rows_left", int64(len(cur.rows)))
-		sp.SetInt("rows_right", int64(len(right.rows)))
-	}
+// joinKeys combines cur and right, laying the output out by place.
+// With equi-join keys it drains a hash join that keeps its rows;
+// otherwise it falls back to the Cartesian product (subsequent
+// applyLocal passes filter it).
+func (rt *Runtime) joinKeys(cur, right *relation, keys []keyPair, place placement) (*relation, error) {
 	if len(keys) > 0 {
-		if sp != nil {
-			sp.SetStr("strategy", "hash")
-			sp.SetInt("keys", int64(len(keys)))
-			// Estimated output under the key-foreign-key assumption:
-			// every probe row matches about once.
-			est := int64(len(cur.rows))
-			if r := int64(len(right.rows)); r < est {
-				est = r
-			}
-			sp.SetInt("est_rows", est)
-		}
-		rt.tracef("hash join on %d key(s): %d x %d row(s)", len(keys), len(cur.rows), len(right.rows))
-		var buildSide string
-		out, buildSide, err = rt.hashJoin(cur, right, keys)
+		src, err := rt.newHashJoinSource(cur, right, keys, place, true)
 		if err != nil {
 			return nil, err
 		}
-		sp.SetStr("build", buildSide)
-	} else {
-		sp.SetStr("strategy", "cartesian")
-		if sp != nil {
-			sp.SetInt("est_rows", int64(len(cur.rows))*int64(len(right.rows)))
-		}
-		rt.tracef("cartesian product: %d x %d row(s)", len(cur.rows), len(right.rows))
-		if out, err = rt.cartesian(cur, right); err != nil {
-			return nil, err
-		}
+		return materialize(src)
+	}
+	sp, parent := rt.pushOp("join")
+	defer rt.popOp(sp, parent)
+	sp.SetStr("strategy", "cartesian")
+	if sp != nil {
+		sp.SetInt("rows_left", int64(len(cur.rows)))
+		sp.SetInt("rows_right", int64(len(right.rows)))
+		sp.SetInt("est_rows", int64(len(cur.rows))*int64(len(right.rows)))
+	}
+	rt.tracef("cartesian product: %d x %d row(s)", len(cur.rows), len(right.rows))
+	out, err := rt.cartesian(cur, right, place)
+	if err != nil {
+		return nil, err
 	}
 	sp.SetInt("rows", int64(len(out)))
-	return &relation{schema: cur.schema.Append(right.schema), rows: out}, nil
+	return &relation{schema: place.schema(cur.schema, right.schema), rows: out}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -459,9 +459,8 @@ type DropIndex struct {
 	Pos  int
 }
 
-// CreateView is "CREATE VIEW name AS select". Text preserves the SELECT
-// source so the view re-plans at each use (paper Q11: CodedSource is a
-// non-materialized view of MiningSource).
+// CreateView is "CREATE VIEW name AS select". The query re-plans at
+// each use (the kernel's Q2 groups through such a view).
 type CreateView struct {
 	Name  string
 	Query *Select

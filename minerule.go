@@ -560,7 +560,9 @@ type Explanation struct {
 	// Simple reports which core-processing class would run.
 	Simple bool
 	// Steps are the preprocessing SQL statements in execution order,
-	// labelled with the paper's query names ("Q0" … "Q10", "output").
+	// labelled with the paper's query names ("Q0" … "Q7", "output",
+	// then "Q8", whose SELECT streams its rows into the core and ends in
+	// a comment saying so).
 	Steps []ExplainStep
 	// TotalGroupsQuery is the paper's Q1. Without a group condition it
 	// ends in a comment saying Q1 is folded into Q2: totg is then the
