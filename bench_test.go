@@ -97,7 +97,7 @@ func BenchmarkE3SimpleVsGeneral(b *testing.B) {
 func BenchmarkE4AlgorithmPool(b *testing.B) {
 	b.ReportAllocs()
 	db := mustDB(b, func() (*engine.Database, error) { return bench.BasketDB(1500, 10, 4, 600, 42) })
-	for _, algo := range []core.Algorithm{core.AlgoApriori, core.AlgoBitmap, core.AlgoDHP} {
+	for _, algo := range []core.Algorithm{core.AlgoApriori, core.AlgoBitmap} {
 		for _, s := range []float64{0.02, 0.005} {
 			b.Run(fmt.Sprintf("%s/s=%g", algo, s), func(b *testing.B) {
 				b.ReportAllocs()

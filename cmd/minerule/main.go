@@ -118,18 +118,8 @@ func runOne(sys *minerule.System, stmt string, ro runOpts) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("-- classification %s; core: ", ex.Class)
-		if ex.Simple {
-			fmt.Println("simple (itemset pool)")
-		} else {
-			fmt.Println("general (rule lattice)")
-		}
-		fmt.Printf("Q1      %s\n", ex.TotalGroupsQuery)
-		for _, s := range ex.Steps {
-			fmt.Printf("%-7s %s\n", s.Name, s.SQL)
-		}
-		for _, d := range ex.Decode {
-			fmt.Printf("decode  %s\n", d)
+		for _, l := range ex.Lines {
+			fmt.Println(l)
 		}
 		return nil
 	}

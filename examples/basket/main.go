@@ -36,7 +36,7 @@ func main() {
 
 	// Run the same statement through each pool algorithm; results must
 	// coincide (algorithm interoperability), timings differ.
-	for _, algo := range []minerule.Algorithm{minerule.Apriori, minerule.AprioriDHP, minerule.Bitmap} {
+	for _, algo := range []minerule.Algorithm{minerule.Apriori, minerule.Bitmap} {
 		res, err := sys.Mine(stmt, minerule.WithAlgorithm(algo), minerule.WithReplaceOutput())
 		if err != nil {
 			log.Fatal(err)

@@ -79,7 +79,7 @@ func Baseline() ([]BaselineEntry, error) {
 	}
 
 	in := minerBenchInput(2000, 300, 8, 1)
-	for _, m := range []mining.ItemsetMiner{mining.Apriori{}, mining.Bitmap{}, mining.DHP{}} {
+	for _, m := range []mining.ItemsetMiner{mining.Apriori{}, mining.Bitmap{}} {
 		m := m
 		record("LargeItemsets/"+m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -162,10 +162,10 @@ func E4(groups int, supports []float64) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("E4: algorithm pool, T10.I4 D=%d, core time (ms) per support", groups),
 		Header: append([]string{"algorithm"}, supportsHeader(supports)...),
-		Notes:  "expected shape: all agree on rule counts; in memory the vertical bitmap (the default) wins, the gid-list apriori is next and DHP's horizontal counting falls behind as support drops",
+		Notes:  "expected shape: both members agree on rule counts; in memory the vertical bitmap (the default) beats the gid-list apriori at every support",
 	}
 	counts := make([]string, len(supports))
-	algos := []core.Algorithm{core.AlgoApriori, core.AlgoBitmap, core.AlgoDHP}
+	algos := []core.Algorithm{core.AlgoApriori, core.AlgoBitmap}
 	firstRules := make([]int, len(supports))
 	for ai, algo := range algos {
 		row := []string{string(algo)}

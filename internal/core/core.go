@@ -31,9 +31,8 @@ type Algorithm string
 
 // The pool.
 const (
-	AlgoApriori Algorithm = "apriori"     // gid-list levelwise [1,3]
-	AlgoDHP     Algorithm = "apriori-dhp" // horizontal counting, hash-filtered [12]
-	AlgoBitmap  Algorithm = "bitmap"      // vertical packed bitsets; the default
+	AlgoApriori Algorithm = "apriori" // gid-list levelwise [1,3]
+	AlgoBitmap  Algorithm = "bitmap"  // vertical packed bitsets; the default
 )
 
 // Options tunes a pipeline run.
@@ -145,6 +144,24 @@ type Explanation struct {
 type ExplainStep struct {
 	Name string
 	SQL  string
+}
+
+// Lines renders the explanation as EXPLAIN MINE RULE prints it: the
+// classification and the core that would run, Q1, every step under its
+// name, and the decode queries, one line each.
+func (ex *Explanation) Lines() []string {
+	kind := "general (rule lattice)"
+	if ex.Simple {
+		kind = "simple (itemset pool)"
+	}
+	lines := []string{fmt.Sprintf("classification %s; core: %s", ex.Class, kind), "Q1      " + ex.Q1}
+	for _, s := range ex.Steps {
+		lines = append(lines, fmt.Sprintf("%-7s %s", s.Name, s.SQL))
+	}
+	for _, q := range ex.Decode {
+		lines = append(lines, "decode  "+q)
+	}
+	return lines
 }
 
 // Explain translates the statement against db's data dictionary and
@@ -431,13 +448,10 @@ func poolMiner(a Algorithm) (mining.ItemsetMiner, error) {
 	switch a {
 	case AlgoApriori:
 		return mining.Apriori{}, nil
-	case AlgoDHP:
-		return mining.DHP{}, nil
 	case AlgoBitmap, "":
 		return mining.Bitmap{}, nil
 	}
-	return nil, fmt.Errorf("core: unknown algorithm %q (the pool is %s, %s, %s)",
-		a, AlgoApriori, AlgoDHP, AlgoBitmap)
+	return nil, fmt.Errorf("core: unknown algorithm %q (the pool is %s, %s)", a, AlgoApriori, AlgoBitmap)
 }
 
 func prepareOutputs(db *engine.Database, tr *translator.Translation, opts Options) error {

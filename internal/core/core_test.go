@@ -145,7 +145,7 @@ func TestSimpleStatementPipeline(t *testing.T) {
 }
 
 func TestAllAlgorithmsAgreeThroughPipeline(t *testing.T) {
-	for _, algo := range []Algorithm{"", AlgoApriori, AlgoBitmap, AlgoDHP} {
+	for _, algo := range []Algorithm{"", AlgoApriori, AlgoBitmap} {
 		db := purchaseDB(t)
 		res, err := Mine(db, `
 			MINE RULE Baskets AS

@@ -85,7 +85,7 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 			db.SetExecHook(in.Hook())
 			_, err := Mine(db, stmt, Options{Algorithm: algo, ReplaceOutput: true})
 			db.SetExecHook(nil)
-			want := fmt.Sprintf("core: unknown algorithm %q (the pool is apriori, apriori-dhp, bitmap)", algo)
+			want := fmt.Sprintf("core: unknown algorithm %q (the pool is apriori, bitmap)", algo)
 			if err == nil || err.Error() != want {
 				t.Fatalf("%s: err = %v, want %s", algo, err, want)
 			}
@@ -409,7 +409,7 @@ func TestGenerousLimitsSucceed(t *testing.T) {
 // shared budget: with a one-candidate ceiling each must fail, not hang
 // or return silently truncated results as success.
 func TestPerAlgorithmCandidateBudget(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoApriori, AlgoBitmap, AlgoDHP} {
+	for _, algo := range []Algorithm{AlgoApriori, AlgoBitmap} {
 		t.Run(string(algo), func(t *testing.T) {
 			db := purchaseDB(t)
 			_, err := Mine(db, simpleStatement, Options{

@@ -14,7 +14,7 @@ import (
 
 // poolMiners are the pool members checked against the Apriori oracle.
 func poolMiners() []ItemsetMiner {
-	return []ItemsetMiner{Bitmap{}, DHP{}}
+	return []ItemsetMiner{Bitmap{}}
 }
 
 func randomInput(rng *rand.Rand) (*SimpleInput, int) {

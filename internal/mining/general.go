@@ -110,8 +110,7 @@ type latticeRule struct {
 	gcount     int
 }
 
-// MineGeneral runs the rule-lattice algorithm with the strategy chosen
-// in opts (CanonicalPath by default).
+// MineGeneral runs the rule-lattice algorithm.
 func MineGeneral(in *GeneralInput, opts Options) []Rule {
 	minCount := MinCount(opts.MinSupport, in.TotalGroups)
 
@@ -120,10 +119,6 @@ func MineGeneral(in *GeneralInput, opts Options) []Rule {
 		return nil
 	}
 	bodyOcc := bodyOccurrences(in)
-
-	if opts.Lattice == LowerCardinalityParent {
-		return mineBidirectional(in, opts, elem, bodyOcc, minCount)
-	}
 
 	// Level 1×1.
 	var level []latticeRule

@@ -4,9 +4,8 @@
 // Figure 3.b:
 //
 //   - simple rules: a pool of large-itemset algorithms (levelwise
-//     gid-list Apriori [1,3], horizontal counting with DHP-style
-//     hashing [12], vertical bitmaps) followed by rule generation from
-//     itemsets;
+//     gid-list Apriori [1,3] and vertical bitmaps) followed by rule
+//     generation from itemsets;
 //   - general rules: the m×n rule-lattice algorithm over elementary
 //     rules with (group, body cluster, head cluster) contexts.
 //
@@ -51,9 +50,6 @@ type Options struct {
 	MinConfidence float64
 	BodyCard      Card
 	HeadCard      Card
-	// Lattice selects the general-core search strategy (see
-	// LatticeStrategy); the zero value is the canonical path.
-	Lattice LatticeStrategy
 	// Budget, when non-nil, bounds the mining: cancellation and the
 	// candidate ceiling are checked between levelwise passes and lattice
 	// nodes. Algorithms return their partial result when it trips; the
@@ -377,22 +373,4 @@ func sortItemsets(sets []Itemset) {
 		}
 		return compareItems(sets[i].Items, sets[j].Items) < 0
 	})
-}
-
-// containsAll reports whether the sorted transaction tx contains every
-// element of the sorted candidate items.
-func containsAll(tx, items []Item) bool {
-	i := 0
-	for _, t := range tx {
-		if i == len(items) {
-			return true
-		}
-		switch {
-		case t == items[i]:
-			i++
-		case t > items[i]:
-			return false
-		}
-	}
-	return i == len(items)
 }

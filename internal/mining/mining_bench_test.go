@@ -25,25 +25,9 @@ func benchInput(groups, items, avg int, seed int64) *SimpleInput {
 func BenchmarkLargeItemsets(b *testing.B) {
 	b.ReportAllocs()
 	in := benchInput(2000, 300, 8, 1)
-	for _, m := range []ItemsetMiner{Apriori{}, Bitmap{}, DHP{}} {
+	for _, m := range []ItemsetMiner{Apriori{}, Bitmap{}} {
 		b.Run(m.Name(), func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.LargeItemsets(in, 40, nil)
-			}
-		})
-	}
-}
-
-// BenchmarkDHPBuckets ablates the DHP hash-table size: too few buckets
-// lose the filter's selectivity, too many waste cache.
-func BenchmarkDHPBuckets(b *testing.B) {
-	b.ReportAllocs()
-	in := benchInput(2000, 300, 8, 1)
-	for _, buckets := range []int{1 << 8, 1 << 12, 1 << 16, 1 << 20} {
-		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
-			b.ReportAllocs()
-			m := DHP{HashBuckets: buckets}
 			for i := 0; i < b.N; i++ {
 				m.LargeItemsets(in, 40, nil)
 			}
@@ -89,43 +73,6 @@ func BenchmarkGeneralLattice(b *testing.B) {
 			in := &GeneralInput{TotalGroups: 300, Groups: groups, PairPolicy: AllPairs, SameAttr: true}
 			opts := Options{MinSupport: 0.05, MinConfidence: 0.2,
 				BodyCard: Card{Min: 1, Max: 3}, HeadCard: Card{Min: 1, Max: 1}}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MineGeneral(in, opts)
-			}
-		})
-	}
-}
-
-// BenchmarkLatticeStrategy ablates the general-core search strategy:
-// canonical unique-path descent vs the paper's lower-cardinality-parent
-// scheme with dedup.
-func BenchmarkLatticeStrategy(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(5))
-	var groups []GroupData
-	for g := int64(1); g <= 400; g++ {
-		bc := make(map[int64][]Item)
-		for c := int64(0); c < 3; c++ {
-			n := 2 + rng.Intn(5)
-			items := make([]Item, n)
-			for i := range items {
-				items[i] = Item(rng.Intn(30))
-			}
-			bc[c] = normalizeItems(items)
-		}
-		groups = append(groups, GroupData{Gid: g, BodyClusters: bc, HeadClusters: bc})
-	}
-	in := &GeneralInput{TotalGroups: 400, Groups: groups, PairPolicy: AllPairs, SameAttr: true}
-	for _, s := range []struct {
-		name  string
-		strat LatticeStrategy
-	}{{"canonical", CanonicalPath}, {"lower-parent", LowerCardinalityParent}} {
-		b.Run(s.name, func(b *testing.B) {
-			b.ReportAllocs()
-			opts := Options{MinSupport: 0.05, MinConfidence: 0.2,
-				BodyCard: Card{Min: 1, Max: 3}, HeadCard: Card{Min: 1, Max: 2},
-				Lattice: s.strat}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MineGeneral(in, opts)

@@ -1,7 +1,10 @@
 package mining
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -185,48 +188,76 @@ func TestGeneralLatticeMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// TestLatticeStrategiesAgree: the canonical-path descent and the paper's
-// lower-cardinality-parent lattice must produce identical rule sets.
-func TestLatticeStrategiesAgree(t *testing.T) {
+// TestMineGeneralMatchesEnumerator holds the rule-lattice descent to a
+// brute-force reading of its contract on random inputs: every pair
+// policy, one and two item schemas, and elementary rules either given
+// (a mining condition's survivors, with repeats) or derived from the
+// clusters.
+func TestMineGeneralMatchesEnumerator(t *testing.T) {
+	bodyCards := []Card{{Min: 1, Max: 3}, {Min: 1}, {Min: 2, Max: 2}, {Min: 1, Max: 1}}
+	headCards := []Card{{Min: 1, Max: 2}, {Min: 1, Max: 1}, {Min: 2, Max: 2}}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var groups []GroupData
-		for g := int64(1); g <= 25; g++ {
-			nclusters := 1 + rng.Intn(3)
-			bc := make(map[int64][]Item)
-			for c := int64(0); c < int64(nclusters); c++ {
-				n := 1 + rng.Intn(5)
-				items := make([]Item, n)
-				for i := range items {
-					items[i] = Item(rng.Intn(8))
-				}
-				bc[c] = normalizeItems(items)
-			}
-			groups = append(groups, GroupData{Gid: g, BodyClusters: bc, HeadClusters: bc})
-		}
 		in := &GeneralInput{
-			TotalGroups: len(groups),
-			Groups:      groups,
-			PairPolicy:  AllPairs,
-			SameAttr:    true,
+			TotalGroups: 25 + rng.Intn(3), // groups without items still count
+			PairPolicy:  PairPolicy(rng.Intn(3)),
+			SameAttr:    rng.Intn(2) == 0,
 		}
-		base := Options{MinSupport: 0.15, MinConfidence: 0.1,
-			BodyCard: Card{Min: 1, Max: 3}, HeadCard: Card{Min: 1, Max: 2}}
-		canon := MineGeneral(in, base)
-		bi := base
-		bi.Lattice = LowerCardinalityParent
-		bidir := MineGeneral(in, bi)
-		if len(canon) != len(bidir) {
-			t.Logf("seed %d: %d vs %d rules", seed, len(canon), len(bidir))
-			return false
-		}
-		for i := range canon {
-			if compareItems(canon[i].Body, bidir[i].Body) != 0 ||
-				compareItems(canon[i].Head, bidir[i].Head) != 0 ||
-				canon[i].Support != bidir[i].Support ||
-				canon[i].Confidence != bidir[i].Confidence {
-				return false
+		items := func(n, domain int) []Item {
+			out := make([]Item, 1+rng.Intn(n))
+			for i := range out {
+				out[i] = Item(rng.Intn(domain))
 			}
+			return normalizeItems(out)
+		}
+		for g := int64(1); g <= 25; g++ {
+			gd := GroupData{Gid: g, BodyClusters: make(map[int64][]Item)}
+			gd.HeadClusters = gd.BodyClusters
+			if !in.SameAttr {
+				gd.HeadClusters = make(map[int64][]Item)
+			}
+			nclusters := 1 + rng.Intn(3)
+			if in.PairPolicy == SelfPairs {
+				nclusters = 1
+			}
+			for c := int64(0); c < int64(nclusters); c++ {
+				gd.BodyClusters[c] = items(5, 8)
+				if !in.SameAttr {
+					gd.HeadClusters[c] = items(4, 6)
+				}
+			}
+			if in.PairPolicy == ExplicitPairs {
+				for b := int64(0); b < int64(nclusters); b++ {
+					for h := int64(0); h < int64(nclusters); h++ {
+						if rng.Intn(2) == 0 {
+							gd.Couples = append(gd.Couples, [2]int64{b, h})
+						}
+					}
+				}
+			}
+			in.Groups = append(in.Groups, gd)
+		}
+		if rng.Intn(3) == 0 {
+			// A mining condition: a random subset of the pairs, each
+			// survivor possibly repeated, as Q8's rows arrive.
+			in.Elementary = []ElemOcc{}
+			for _, e := range cartesianElementary(in) {
+				for rng.Intn(3) > 0 {
+					in.Elementary = append(in.Elementary, e)
+				}
+			}
+		}
+		opts := Options{
+			MinSupport:    []float64{0.08, 0.12, 0.2}[rng.Intn(3)],
+			MinConfidence: []float64{0, 0.1, 0.5}[rng.Intn(3)],
+			BodyCard:      bodyCards[rng.Intn(len(bodyCards))],
+			HeadCard:      headCards[rng.Intn(len(headCards))],
+		}
+		got, want := ruleLines(MineGeneral(in, opts)), ruleLines(enumerateGeneral(in, opts))
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Logf("seed %d (policy %d, same attr %v, elementary %v, %+v):\n got %v\nwant %v",
+				seed, in.PairPolicy, in.SameAttr, in.Elementary != nil, opts, got, want)
+			return false
 		}
 		return true
 	}
@@ -235,17 +266,177 @@ func TestLatticeStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestLatticeStrategiesAgreeOnPaperExample pins both strategies to
-// Figure 2.b.
+// TestLatticeStrategiesAgreeOnPaperExample pins the rule-lattice descent
+// and the brute-force enumerator to each other on Figure 2.b, with the
+// mining condition's elementary rules and with them derived from the
+// clusters.
 func TestLatticeStrategiesAgreeOnPaperExample(t *testing.T) {
-	for _, strat := range []LatticeStrategy{CanonicalPath, LowerCardinalityParent} {
-		rules := MineGeneral(paperGeneralInput(), Options{
-			MinSupport: 0.2, MinConfidence: 0.3,
-			BodyCard: Card{Min: 1}, HeadCard: Card{Min: 1},
-			Lattice: strat,
-		})
-		if len(rules) != 3 {
-			t.Errorf("strategy %d: %d rules, want 3", strat, len(rules))
+	opts := Options{
+		MinSupport: 0.2, MinConfidence: 0.3,
+		BodyCard: Card{Min: 1}, HeadCard: Card{Min: 1},
+	}
+	for _, condition := range []bool{true, false} {
+		in := paperGeneralInput()
+		if !condition {
+			in.Elementary = nil
+		}
+		got, want := ruleLines(MineGeneral(in, opts)), ruleLines(enumerateGeneral(in, opts))
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("mining condition %v:\n got %v\nwant %v", condition, got, want)
+		}
+		if condition && len(got) != 3 {
+			t.Errorf("mining condition: %d rules, want 3", len(got))
 		}
 	}
+}
+
+// ruleLines renders rules with every measure, sorted.
+func ruleLines(rules []Rule) []string {
+	out := make([]string, len(rules))
+	for i, r := range rules {
+		out[i] = fmt.Sprintf("%s %d/%d", r, r.SupportCount, r.BodyCount)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// cartesianElementary lists every elementary rule occurrence of in: each
+// body item of a valid pair's body cluster with each head item of its
+// head cluster (distinct items under one schema).
+func cartesianElementary(in *GeneralInput) []ElemOcc {
+	var out []ElemOcc
+	for _, g := range in.Groups {
+		var pairs [][2]int64
+		switch in.PairPolicy {
+		case SelfPairs:
+			pairs = [][2]int64{{0, 0}}
+		case AllPairs:
+			for b := range g.BodyClusters {
+				for h := range g.HeadClusters {
+					pairs = append(pairs, [2]int64{b, h})
+				}
+			}
+		case ExplicitPairs:
+			pairs = g.Couples
+		}
+		for _, p := range pairs {
+			for _, b := range g.BodyClusters[p[0]] {
+				for _, h := range g.HeadClusters[p[1]] {
+					if !in.SameAttr || b != h {
+						out = append(out, ElemOcc{Body: b, Head: h, Ctx: Ctx{G: g.Gid, BC: p[0], HC: p[1]}})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// enumerateGeneral is the brute-force reference for MineGeneral. In
+// every context (group, body cluster, head cluster) it tries every body
+// and head subset within the card bounds, over the items of that
+// context's elementary rules, and keeps those whose whole B×H is
+// elementary there. A rule's support counts the groups with such a
+// context; its confidence divides by the groups where one body cluster
+// holds all of B.
+func enumerateGeneral(in *GeneralInput, opts Options) []Rule {
+	occ := in.Elementary
+	if occ == nil {
+		occ = cartesianElementary(in)
+	}
+	elem := make(map[Ctx]map[[2]Item]bool)
+	for _, e := range occ {
+		if elem[e.Ctx] == nil {
+			elem[e.Ctx] = make(map[[2]Item]bool)
+		}
+		elem[e.Ctx][[2]Item{e.Body, e.Head}] = true
+	}
+	type rule struct{ body, head []Item }
+	rules := make(map[string]rule)
+	groups := make(map[string]map[int64]bool) // rule → groups where it holds
+	for ctx, pairs := range elem {
+		var bodies, heads []Item
+		for p := range pairs {
+			bodies = append(bodies, p[0])
+			heads = append(heads, p[1])
+		}
+		bodies, heads = normalizeItems(bodies), normalizeItems(heads)
+		for _, b := range subsets(bodies, opts.BodyCard) {
+		nextHead:
+			for _, h := range subsets(heads, opts.HeadCard) {
+				for _, x := range b {
+					for _, y := range h {
+						if !pairs[[2]Item{x, y}] {
+							continue nextHead
+						}
+					}
+				}
+				k := itemsString(b) + itemsString(h)
+				rules[k] = rule{b, h}
+				if groups[k] == nil {
+					groups[k] = make(map[int64]bool)
+				}
+				groups[k][ctx.G] = true
+			}
+		}
+	}
+	var out []Rule
+	for k, r := range rules {
+		count := len(groups[k])
+		if float64(count)/float64(in.TotalGroups) < opts.MinSupport {
+			continue
+		}
+		bodyCount := 0
+		for _, g := range in.Groups {
+			for _, items := range g.BodyClusters {
+				if containsAll(items, r.body) {
+					bodyCount++
+					break
+				}
+			}
+		}
+		conf := float64(count) / float64(bodyCount)
+		if conf < opts.MinConfidence {
+			continue
+		}
+		out = append(out, Rule{Body: r.body, Head: r.head, SupportCount: count, BodyCount: bodyCount,
+			Support: float64(count) / float64(in.TotalGroups), Confidence: conf})
+	}
+	return out
+}
+
+// subsets lists the non-empty subsets of the sorted items whose size c
+// admits, each sorted.
+func subsets(items []Item, c Card) [][]Item {
+	var out [][]Item
+	for mask := 1; mask < 1<<len(items); mask++ {
+		var s []Item
+		for i, it := range items {
+			if mask&(1<<i) != 0 {
+				s = append(s, it)
+			}
+		}
+		if c.contains(len(s)) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// containsAll reports whether the sorted transaction tx contains every
+// element of the sorted candidate items.
+func containsAll(tx, items []Item) bool {
+	i := 0
+	for _, t := range tx {
+		if i == len(items) {
+			return true
+		}
+		switch {
+		case t == items[i]:
+			i++
+		case t > items[i]:
+			return false
+		}
+	}
+	return i == len(items)
 }

@@ -24,12 +24,9 @@ func GenerateRules(itemsets []Itemset, opts Options, totalGroups int) []Rule {
 		if len(l) < 2 || s.Count < minCount {
 			continue
 		}
-		if !opts.BodyCard.allows(len(l)-1) && !opts.HeadCard.allows(len(l)-1) {
-			// Even the most lopsided split cannot fit; cheap skip of the
-			// subset enumeration for oversized itemsets.
-			if len(l)-1 > maxBound(opts.BodyCard) && len(l)-1 > maxBound(opts.HeadCard) {
-				continue
-			}
+		if len(l)-maxBound(opts.BodyCard) > maxBound(opts.HeadCard) {
+			// No split fits both bounds; skip the subset enumeration.
+			continue
 		}
 		// Enumerate head subsets by bitmask; itemsets beyond 20 items
 		// are split via the bounded enumeration below.

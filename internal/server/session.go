@@ -535,15 +535,7 @@ func (sess *session) explainMine(text string) error {
 	if err != nil {
 		return sess.sendStatementError(err)
 	}
-	lines := []string{fmt.Sprintf("classification %s simple=%v", ex.Class, ex.Simple)}
-	lines = append(lines, "Q1      "+ex.Q1)
-	for _, st := range ex.Steps {
-		lines = append(lines, fmt.Sprintf("%-7s %s", st.Name, st.SQL))
-	}
-	for _, q := range ex.Decode {
-		lines = append(lines, "decode  "+q)
-	}
-	return sess.sendPlanRows(lines)
+	return sess.sendPlanRows(ex.Lines())
 }
 
 // sendPlanRows streams one-column text rows named QUERY PLAN.

@@ -351,9 +351,8 @@ type Algorithm string
 
 // The pool (general statements always use the rule-lattice core).
 const (
-	Apriori    Algorithm = Algorithm(core.AlgoApriori)
-	AprioriDHP Algorithm = Algorithm(core.AlgoDHP)
-	Bitmap     Algorithm = Algorithm(core.AlgoBitmap)
+	Apriori Algorithm = Algorithm(core.AlgoApriori)
+	Bitmap  Algorithm = Algorithm(core.AlgoBitmap)
 )
 
 // Option adjusts one Mine call.
@@ -570,6 +569,9 @@ type Explanation struct {
 	TotalGroupsQuery string
 	// Decode are the postprocessor's SQL statements.
 	Decode []string
+	// Lines is the explanation as EXPLAIN MINE RULE prints it, one line
+	// each: the same lines the CLI, the web UI and a server session show.
+	Lines []string
 }
 
 // ExplainStep is one named preprocessing statement.
@@ -590,6 +592,7 @@ func (s *System) Explain(statement string) (*Explanation, error) {
 		Simple:           ex.Simple,
 		TotalGroupsQuery: ex.Q1,
 		Decode:           ex.Decode,
+		Lines:            ex.Lines(),
 	}
 	for _, st := range ex.Steps {
 		out.Steps = append(out.Steps, ExplainStep{Name: st.Name, SQL: st.SQL})
